@@ -70,14 +70,6 @@ std::vector<BenchEdge> BuildEdges(int nodes, double edge_probability, uint64_t s
   return edges;
 }
 
-FlowNetwork ToFlowNetwork(int nodes, const std::vector<BenchEdge>& edges) {
-  FlowNetwork network(nodes);
-  for (const BenchEdge& edge : edges) {
-    network.AddEdge(edge.a, edge.b, edge.capacity);
-  }
-  return network;
-}
-
 CompactFlowNetwork ToCompactNetwork(int nodes, const std::vector<BenchEdge>& edges) {
   CompactFlowNetwork network(nodes);
   for (const BenchEdge& edge : edges) {
@@ -87,13 +79,13 @@ CompactFlowNetwork ToCompactNetwork(int nodes, const std::vector<BenchEdge>& edg
   return network;
 }
 
-FlowNetwork BuildGraph(int nodes, double edge_probability, uint64_t seed) {
-  return ToFlowNetwork(nodes, BuildEdges(nodes, edge_probability, seed));
+CompactFlowNetwork BuildGraph(int nodes, double edge_probability, uint64_t seed) {
+  return ToCompactNetwork(nodes, BuildEdges(nodes, edge_probability, seed));
 }
 
 void BM_RelabelToFront(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
-  FlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
+  const CompactFlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
   CapUnits cut_value = 0;
   for (auto _ : state) {
     // The const& entry point copies internally; the copy is part of what a
@@ -108,7 +100,7 @@ BENCHMARK(BM_RelabelToFront)->Arg(32)->Arg(128)->Arg(512)->Arg(1024);
 
 void BM_EdmondsKarp(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
-  FlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
+  const CompactFlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
   CapUnits cut_value = 0;
   for (auto _ : state) {
     const CutResult cut = MinCutEdmondsKarp(network, 0, 1);
@@ -162,7 +154,7 @@ int PrintCutTable() {
   for (const int nodes : {32, 128, 512}) {
     for (uint64_t seed = 7; seed < 15; ++seed) {
       std::vector<BenchEdge> edges = BuildEdges(nodes, 8.0 / nodes, seed);
-      const FlowNetwork network = ToFlowNetwork(nodes, edges);
+      const CompactFlowNetwork network = ToCompactNetwork(nodes, edges);
       const CutResult rtf = MinCutRelabelToFront(network, 0, 1);
       const CutResult ek = MinCutEdmondsKarp(network, 0, 1);
       const CutResult pr = MinCutPushRelabel(network, 0, 1);
@@ -244,7 +236,7 @@ int RunEpochSeries(const std::string& json_path, bool enforce_speedup) {
       }
 
       auto start = std::chrono::steady_clock::now();
-      const FlowNetwork flow = ToFlowNetwork(nodes, edges);
+      const CompactFlowNetwork flow = ToCompactNetwork(nodes, edges);
       const CutResult rtf = MinCutRelabelToFront(flow, 0, 1);
       cold_rtf_seconds += ElapsedSeconds(start);
 

@@ -49,7 +49,7 @@ std::string ExportDistributionDot(const IccProfile& profile, const AnalysisResul
   const AbstractIccGraph abstract = AbstractIccGraph::FromProfile(profile);
   for (const AbstractIccGraph::PairKey& pair : abstract.SortedPairs()) {
     const AbstractIccGraph::Edge& edge = abstract.edges().at(pair);
-    if (edge.messages.total_bytes() < options.min_edge_bytes && !edge.MustColocate()) {
+    if (edge.message_bytes < options.min_edge_bytes && !edge.MustColocate()) {
       continue;
     }
     if (!options.include_driver &&
@@ -61,8 +61,8 @@ std::string ExportDistributionDot(const IccProfile& profile, const AnalysisResul
                             : "color=gray60";               // Distributable.
     out += StrFormat("  %s -- %s [%s, label=\"%llu msgs, %s\"];\n",
                      NodeId(pair.a).c_str(), NodeId(pair.b).c_str(), style,
-                     static_cast<unsigned long long>(edge.messages.total_count()),
-                     FormatBytes(edge.messages.total_bytes()).c_str());
+                     static_cast<unsigned long long>(edge.message_count),
+                     FormatBytes(edge.message_bytes).c_str());
   }
   out += "}\n";
   return out;

@@ -2,13 +2,14 @@
 //
 // Pipeline: ICC profile + location constraints → abstract ICC graph →
 // (× network profile) → concrete graph → minimum cut → distribution.
-// The production cut is highest-label push-relabel on a flat CSR network,
-// warm-startable across calls through a MinCutSession; the paper's
-// lift-to-front algorithm and Edmonds-Karp remain selectable for
-// cross-checking and ablation. All three return the identical exact cut:
-// for a maximum flow the residual-reachable source side is the unique
-// minimal minimum cut, so the distribution does not depend on the
-// algorithm (or on warm vs cold starts).
+// The production cut is highest-label push-relabel on the CSR
+// CompactFlowNetwork, warm-startable across calls through a MinCutSession;
+// the paper's lift-to-front algorithm and Edmonds-Karp remain selectable
+// for cross-checking and ablation, and cut the very same network. All
+// three return the identical exact cut: for a maximum flow the
+// residual-reachable source side is the unique minimal minimum cut, so the
+// distribution does not depend on the algorithm (or on warm vs cold
+// starts).
 
 #ifndef COIGN_SRC_ANALYSIS_ENGINE_H_
 #define COIGN_SRC_ANALYSIS_ENGINE_H_
@@ -20,7 +21,7 @@
 #include "src/graph/constraints.h"
 #include "src/graph/distribution.h"
 #include "src/graph/icc_graph.h"
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 #include "src/mincut/incremental.h"
 #include "src/net/network_profiler.h"
 #include "src/profile/icc_profile.h"

@@ -5,8 +5,8 @@
 namespace coign {
 
 double EdgeSeconds(const AbstractIccGraph::Edge& edge, const NetworkProfile& network) {
-  const double count = static_cast<double>(edge.messages.total_count());
-  const double bytes = static_cast<double>(edge.messages.total_bytes());
+  const double count = static_cast<double>(edge.message_count);
+  const double bytes = static_cast<double>(edge.message_bytes);
   return count * network.per_message_seconds + bytes * network.seconds_per_byte;
 }
 

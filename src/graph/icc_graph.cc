@@ -24,8 +24,8 @@ AbstractIccGraph AbstractIccGraph::FromProfile(const IccProfile& profile) {
       continue;  // Intra-classification calls never cross the wire.
     }
     Edge& edge = graph.edges_[Canonical(key.src, key.dst)];
-    edge.messages.Merge(summary.requests);
-    edge.messages.Merge(summary.replies);
+    edge.message_count += summary.requests.total_count() + summary.replies.total_count();
+    edge.message_bytes += summary.requests.total_bytes() + summary.replies.total_bytes();
     edge.calls += summary.call_count();
     edge.non_remotable_calls += summary.non_remotable_calls;
   }

@@ -3,7 +3,7 @@
 // "The profile analysis engine combines component communication profiles
 // and component location constraints to create an abstract ICC graph of the
 // application." Abstract means network-independent: edges carry message
-// histograms (counts and bytes), not seconds. Nodes are instance
+// counts and bytes, not seconds. Nodes are instance
 // classifications; the application driver (GUI thread, the user) is the
 // pseudo-node kDriverNode and always lives on the client.
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/profile/icc_profile.h"
-#include "src/support/histogram.h"
 
 namespace coign {
 
@@ -34,8 +33,10 @@ class AbstractIccGraph {
 
   struct Edge {
     // One-way messages exchanged between the endpoints (each call
-    // contributes its request and its reply).
-    ExponentialHistogram messages;
+    // contributes its request and its reply), and their total bytes. The
+    // two totals are all that pricing an edge needs (EdgeSeconds).
+    uint64_t message_count = 0;
+    uint64_t message_bytes = 0;
     uint64_t calls = 0;
     // Calls on this pair that crossed a non-remotable interface or carried
     // opaque parameters: the endpoints must be colocated.

@@ -7,29 +7,31 @@
 
 namespace coign {
 
-CutResult MinCutEdmondsKarp(const FlowNetwork& original, int source, int sink) {
+CutResult MinCutEdmondsKarp(const CompactFlowNetwork& original, int source, int sink) {
   assert(source != sink);
   // Augmentation mutates only this per-call copy; see the header's
   // re-entrancy contract.
-  FlowNetwork network = original;
+  CompactFlowNetwork network = original;
+  network.Finalize();
+  network.ResetFlow();
   CapUnits total_flow = 0;
   const int n = network.node_count();
 
   while (true) {
     // BFS for the shortest augmenting path.
     std::vector<int> parent_node(static_cast<size_t>(n), -1);
-    std::vector<size_t> parent_arc(static_cast<size_t>(n), 0);
+    std::vector<int> parent_arc(static_cast<size_t>(n), 0);  // Global arc index.
     std::deque<int> queue = {source};
     parent_node[static_cast<size_t>(source)] = source;
     while (!queue.empty() && parent_node[static_cast<size_t>(sink)] < 0) {
       const int u = queue.front();
       queue.pop_front();
-      auto& arcs = network.ArcsFrom(u);
-      for (size_t i = 0; i < arcs.size(); ++i) {
-        const FlowArc& arc = arcs[i];
+      const int end = network.first_out(u + 1);
+      for (int a = network.first_out(u); a < end; ++a) {
+        const CompactArc& arc = network.arc(a);
         if (arc.Residual() > 0 && parent_node[static_cast<size_t>(arc.to)] < 0) {
           parent_node[static_cast<size_t>(arc.to)] = u;
-          parent_arc[static_cast<size_t>(arc.to)] = i;
+          parent_arc[static_cast<size_t>(arc.to)] = a;
           queue.push_back(arc.to);
         }
       }
@@ -43,8 +45,7 @@ CutResult MinCutEdmondsKarp(const FlowNetwork& original, int source, int sink) {
     // arcs exactly, so the loop still terminates on infeasible inputs.
     CapUnits bottleneck = kInfiniteCapacity;
     for (int v = sink; v != source; v = parent_node[static_cast<size_t>(v)]) {
-      const int u = parent_node[static_cast<size_t>(v)];
-      const FlowArc& arc = network.ArcsFrom(u)[parent_arc[static_cast<size_t>(v)]];
+      const CompactArc& arc = network.arc(parent_arc[static_cast<size_t>(v)]);
       bottleneck = std::min(bottleneck, arc.Residual());
     }
     assert(bottleneck > 0);
@@ -53,16 +54,15 @@ CutResult MinCutEdmondsKarp(const FlowNetwork& original, int source, int sink) {
     // the bottleneck arc, and every arc's flow stays within its capacity);
     // only the running total can saturate, which is the desired sentinel.
     for (int v = sink; v != source; v = parent_node[static_cast<size_t>(v)]) {
-      const int u = parent_node[static_cast<size_t>(v)];
-      FlowArc& arc = network.ArcsFrom(u)[parent_arc[static_cast<size_t>(v)]];
+      CompactArc& arc = network.arc(parent_arc[static_cast<size_t>(v)]);
       arc.flow = SatAdd(arc.flow, bottleneck);
-      FlowArc& reverse = network.ArcsFrom(arc.to)[arc.reverse_index];
+      CompactArc& reverse = network.arc(arc.reverse);
       reverse.flow = SatSub(reverse.flow, bottleneck);
     }
     total_flow = SatAdd(total_flow, bottleneck);
   }
 
-  return ExtractCut(network, source, total_flow);
+  return network.ExtractCut(source, total_flow);
 }
 
 }  // namespace coign

@@ -5,13 +5,14 @@
 #ifndef COIGN_SRC_MINCUT_EDMONDS_KARP_H_
 #define COIGN_SRC_MINCUT_EDMONDS_KARP_H_
 
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 
 namespace coign {
 
-// The input network is not modified (flow accumulates on a per-call
-// working copy), so concurrent cuts are safe.
-CutResult MinCutEdmondsKarp(const FlowNetwork& network, int source, int sink);
+// The input network is not modified (flow accumulates from zero on a
+// per-call working copy, finalized there if the caller has not), so
+// concurrent cuts are safe.
+CutResult MinCutEdmondsKarp(const CompactFlowNetwork& network, int source, int sink);
 
 }  // namespace coign
 

@@ -11,10 +11,10 @@
 #ifndef COIGN_SRC_MINCUT_MULTIWAY_H_
 #define COIGN_SRC_MINCUT_MULTIWAY_H_
 
-#include <functional>
+#include <tuple>
 #include <vector>
 
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 
 namespace coign {
 

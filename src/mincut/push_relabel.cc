@@ -283,8 +283,9 @@ CapUnits PushRelabelSolver::Solve(CompactFlowNetwork& net, int source, int sink)
   return excess_[static_cast<size_t>(sink)];
 }
 
-CutResult MinCutPushRelabel(const FlowNetwork& network, int source, int sink) {
-  CompactFlowNetwork compact = CompactFlowNetwork::FromFlowNetwork(network);
+CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink) {
+  CompactFlowNetwork compact = network;
+  compact.Finalize();
   compact.ResetFlow();
   PushRelabelSolver solver;
   const CapUnits flow = solver.Solve(compact, source, sink);

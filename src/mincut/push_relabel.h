@@ -1,8 +1,10 @@
 // Highest-label push-relabel max-flow on CompactFlowNetwork.
 //
-// This is the production solver behind CutAlgorithm::kPushRelabel; the
-// CLRS relabel-to-front and Edmonds-Karp implementations stay as
-// differential oracles (see tests/mincut_equivalence_test.cc). Two
+// This is the only solver a production path runs — behind
+// CutAlgorithm::kPushRelabel, the warm-start sessions, and the multiway
+// isolating cuts. The CLRS relabel-to-front and Edmonds-Karp
+// implementations stay as differential oracles over the same network
+// type (see tests/mincut_equivalence_test.cc). Two
 // heuristics make it fast on the repeated-cut workloads:
 //
 //  * Gap relabeling: when no node remains at height h < n, every node at
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "src/mincut/compact_flow_network.h"
-#include "src/mincut/flow_network.h"
 
 namespace coign {
 
@@ -90,10 +91,11 @@ class PushRelabelSolver {
   int n_ = 0;
 };
 
-// Cold-solve convenience entry with the same signature as
-// MinCutRelabelToFront / MinCutEdmondsKarp, for the differential oracles
-// and the parameterized algorithm tests. Converts to CSR per call.
-CutResult MinCutPushRelabel(const FlowNetwork& network, int source, int sink);
+// One-shot cold solve with the same signature as MinCutRelabelToFront /
+// MinCutEdmondsKarp, for the differential oracles and the parameterized
+// algorithm tests. Solves from zero flow on a per-call working copy
+// (finalized there if the caller has not); the input is not modified.
+CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink);
 
 }  // namespace coign
 

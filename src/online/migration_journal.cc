@@ -99,18 +99,13 @@ std::string MigrationJournal::Serialize() const {
 
 namespace {
 
-// Sets `truncated` when the line ends mid-record — fewer fields than a
-// complete record carries. A line with all its fields but unusable contents
-// (bad tag, unknown phase) is corruption, never tearing: a torn write can
-// only lose a suffix, not rewrite completed fields.
-Result<MigrationRecord> ParseRecordLine(const std::string& line, bool* truncated) {
-  *truncated = false;
+// Parses a record body whose CRC already verified.
+Result<MigrationRecord> ParseRecordLine(const std::string& line) {
   std::istringstream fields(line);
   std::string tag, phase_name;
   MigrationRecord record;
   unsigned long long instance = 0, bytes = 0;
   if (!(fields >> tag >> phase_name >> instance >> record.from >> record.to >> bytes)) {
-    *truncated = true;
     return InvalidArgumentError("migration journal: truncated record: " + line);
   }
   if (tag != "rec") {
@@ -126,27 +121,6 @@ Result<MigrationRecord> ParseRecordLine(const std::string& line, bool* truncated
   return record;
 }
 
-// Parses the 8-hex-digit CRC field v2 lines end with.
-bool ParseCrcHex(const std::string& hex, uint32_t* out) {
-  if (hex.size() != 8) {
-    return false;
-  }
-  uint32_t bits = 0;
-  for (char c : hex) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    bits = (bits << 4) | static_cast<uint32_t>(digit);
-  }
-  *out = bits;
-  return true;
-}
-
 }  // namespace
 
 Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
@@ -155,7 +129,7 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
   // last newline, or a final terminated line whose fields were cut short —
   // and recovery must treat exactly that suffix as never written. Earlier
   // records are covered by later newlines, so damage there is corruption,
-  // not tearing, and stays a hard error.
+  // not tearing: skipped and counted below.
   const size_t last_newline = text.find_last_of('\n');
   bool torn = last_newline == std::string::npos || last_newline + 1 < text.size();
   const std::string body =
@@ -163,11 +137,9 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
 
   std::istringstream in(body);
   std::string line;
-  if (!std::getline(in, line) ||
-      (line != "migration-journal v1" && line != "migration-journal v2")) {
+  if (!std::getline(in, line) || line != "migration-journal v2") {
     return InvalidArgumentError("migration journal: bad header");
   }
-  const bool checksummed = line == "migration-journal v2";
   std::vector<std::string> lines;
   while (std::getline(in, line)) {
     if (!line.empty()) {
@@ -176,32 +148,16 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
   }
   MigrationJournal journal;
   for (size_t i = 0; i < lines.size(); ++i) {
-    const bool last = i + 1 == lines.size();
-    if (!checksummed) {
-      // v1: no per-record checksum, so mid-file damage is unlocatable and
-      // stays a hard error; only the cut-short final record is tearing.
-      bool truncated = false;
-      Result<MigrationRecord> record = ParseRecordLine(lines[i], &truncated);
-      if (!record.ok()) {
-        if (truncated && last) {
-          torn = true;
-          break;
-        }
-        return record.status();
-      }
-      journal.Append(*record);
-      continue;
-    }
-    // v2: verify the trailing CRC before trusting a word of the record.
-    // A final line whose CRC field never finished is a torn append; any
+    // Verify the trailing CRC before trusting a word of the record. A
+    // final line whose CRC field never finished is a torn append; any
     // earlier line that fails to verify — or parses to garbage under a
     // valid checksum — is corruption, skipped and counted so the caller
     // can quarantine instead of losing the whole journal.
     const size_t space = lines[i].find_last_of(' ');
-    uint32_t expected = 0;
+    uint64_t expected = 0;
     if (space == std::string::npos ||
-        !ParseCrcHex(lines[i].substr(space + 1), &expected)) {
-      if (last) {
+        !ParseFixedHex(std::string_view(lines[i]).substr(space + 1), 8, &expected)) {
+      if (i + 1 == lines.size()) {
         torn = true;
         break;
       }
@@ -209,12 +165,11 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
       continue;
     }
     const std::string record_body = lines[i].substr(0, space);
-    bool truncated = false;
     if (Crc32c(record_body) != expected) {
       ++journal.corrupt_skipped_;
       continue;
     }
-    Result<MigrationRecord> record = ParseRecordLine(record_body, &truncated);
+    Result<MigrationRecord> record = ParseRecordLine(record_body);
     if (!record.ok()) {
       ++journal.corrupt_skipped_;
       continue;

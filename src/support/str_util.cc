@@ -66,4 +66,24 @@ std::string FormatBytes(uint64_t bytes) {
   return StrFormat("%.1f %s", value, kUnits[unit]);
 }
 
+bool ParseFixedHex(std::string_view hex, size_t digits, uint64_t* out) {
+  if (digits > 16 || hex.size() != digits) {
+    return false;
+  }
+  uint64_t bits = 0;
+  for (const char c : hex) {
+    int digit;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else {
+      return false;
+    }
+    bits = (bits << 4) | static_cast<uint64_t>(digit);
+  }
+  *out = bits;
+  return true;
+}
+
 }  // namespace coign

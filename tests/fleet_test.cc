@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -305,15 +304,15 @@ TEST(PlanCacheTest, LoadIntoSmallerCacheKeepsTheMostRecentEntries) {
 
 TEST(PlanCacheTest, LoadRejectsMalformedSnapshots) {
   PlanCache cache(4);
-  EXPECT_FALSE(cache.Load("not a cache").ok());
-  EXPECT_FALSE(cache.Load("plan-cache v9 0\n").ok());
-  EXPECT_FALSE(cache.Load("plan-cache v1 1\nentry oops\n").ok());
-  // v4 (checksummed records) is current; v3 (exact cut values), v2 (loss
-  // buckets, no cut units) and v1 still load. Empty snapshots are fine in
-  // all versions.
+  // v4 (checksummed records) is the only format: anything else — the
+  // retired v1-v3 included — is rejected at the header.
+  for (const char* text : {"not a cache", "plan-cache v9 0\n", "plan-cache v1 1\nentry oops\n",
+                           "plan-cache v2 0\n", "plan-cache v3 0\n"}) {
+    const Status status = cache.Load(text);
+    ASSERT_FALSE(status.ok()) << text;
+    EXPECT_NE(status.message().find("bad header"), std::string::npos) << text;
+  }
   EXPECT_TRUE(cache.Load("plan-cache v4 0\n").ok());
-  EXPECT_TRUE(cache.Load("plan-cache v3 0\n").ok());
-  EXPECT_TRUE(cache.Load("plan-cache v2 0\n").ok());
 }
 
 TEST(PlanCacheTest, V4DamageIsLocalizedToTheDamagedRecord) {
@@ -343,36 +342,6 @@ TEST(PlanCacheTest, V4DamageIsLocalizedToTheDamagedRecord) {
   ASSERT_TRUE(torn_cache.Load(torn).ok());
   EXPECT_EQ(torn_cache.size(), 2u);
   EXPECT_EQ(torn_cache.stats().corrupt_skipped, 0u);
-}
-
-TEST(PlanCacheTest, V3SnapshotsStillLoadStrictly) {
-  PlanCache cache(8);
-  cache.Insert(PlanCacheKey{11, CohortKey{0, 1}}, SnapshotPlan(0.125));
-  cache.Insert(PlanCacheKey{11, CohortKey{2, 3}}, SnapshotPlan(1.0 / 3.0));
-  // Rewrite the v4 snapshot as its v3 equivalent: same record lines, no
-  // crc lines, v3 header.
-  std::istringstream in(cache.Serialize());
-  std::string line;
-  std::getline(in, line);
-  std::string v3 = "plan-cache v3 2\n";
-  while (std::getline(in, line)) {
-    if (line.compare(0, 4, "crc ") != 0) {
-      v3 += line;
-      v3 += '\n';
-    }
-  }
-  PlanCache reloaded(8);
-  ASSERT_TRUE(reloaded.Load(v3).ok());
-  EXPECT_EQ(reloaded.size(), 2u);
-  EXPECT_TRUE(reloaded.Lookup(PlanCacheKey{11, CohortKey{2, 3}}).has_value());
-  // v3 has no checksums to localize damage: any mangled byte still fails
-  // the whole load.
-  std::string mangled = v3;
-  const size_t plan_pos = mangled.find("plan ");
-  ASSERT_NE(plan_pos, std::string::npos);
-  mangled[plan_pos] = 'q';
-  PlanCache strict(8);
-  EXPECT_FALSE(strict.Load(mangled).ok());
 }
 
 TEST(FleetServiceTest, CacheFileRoundTripServesWarmRestart) {

@@ -58,8 +58,8 @@ TEST(AbstractIccGraphTest, MergesDirectionsAndMethodsPerPair) {
   const auto& edge = graph.edges().begin()->second;
   EXPECT_EQ(edge.calls, 3u);
   // Each call contributes request + reply messages.
-  EXPECT_EQ(edge.messages.total_count(), 6u);
-  EXPECT_EQ(edge.messages.total_bytes(), 100u + 10 + 50 + 5 + 25 + 25);
+  EXPECT_EQ(edge.message_count, 6u);
+  EXPECT_EQ(edge.message_bytes, 100u + 10 + 50 + 5 + 25 + 25);
   EXPECT_EQ(edge.non_remotable_calls, 1u);
   EXPECT_TRUE(edge.MustColocate());
 }
@@ -100,8 +100,8 @@ TEST(ConstraintsTest, ExplicitConstraintsAccumulate) {
 
 TEST(EdgeSecondsTest, AffineInCountAndBytes) {
   AbstractIccGraph::Edge edge;
-  edge.messages.Add(100);
-  edge.messages.Add(100);
+  edge.message_count = 2;
+  edge.message_bytes = 200;
   NetworkProfile network;
   network.per_message_seconds = 1e-3;
   network.seconds_per_byte = 1e-6;

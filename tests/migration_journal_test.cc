@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -87,38 +86,6 @@ TEST(MigrationJournalPersistTest, DamageBeforeTheTailIsSkippedAndCounted) {
   EXPECT_EQ(parsed->corrupt_skipped(), 1u);
   EXPECT_EQ(parsed->size(), journal.size() - 1);
   EXPECT_FALSE(parsed->recovered_torn_tail());
-}
-
-// Strips the v2 CRC fields off a serialized journal, producing the v1 form
-// old snapshots on disk still carry.
-std::string ToV1(const MigrationJournal& journal) {
-  std::istringstream in(journal.Serialize());
-  std::string line;
-  std::getline(in, line);  // Header.
-  std::string out = "migration-journal v1\n";
-  while (std::getline(in, line)) {
-    out += line.substr(0, line.find_last_of(' '));
-    out += '\n';
-  }
-  return out;
-}
-
-TEST(MigrationJournalPersistTest, V1SnapshotsStillLoad) {
-  const MigrationJournal journal = TestJournal();
-  Result<MigrationJournal> parsed = MigrationJournal::Parse(ToV1(journal));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ExpectSameRecords(journal, *parsed);
-  EXPECT_EQ(parsed->corrupt_skipped(), 0u);
-}
-
-TEST(MigrationJournalPersistTest, V1DamageBeforeTheTailStaysAHardError) {
-  // v1 has no per-record checksum: mid-file damage cannot be localized and
-  // must still fail loudly rather than be silently dropped.
-  std::string text = ToV1(TestJournal());
-  const size_t first_rec = text.find("rec intent");
-  ASSERT_NE(first_rec, std::string::npos);
-  text.replace(first_rec, 10, "rec mangle");
-  EXPECT_FALSE(MigrationJournal::Parse(text).ok());
 }
 
 TEST(MigrationJournalPersistTest, FlippedCrcDigitDropsOnlyThatRecord) {

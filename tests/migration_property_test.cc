@@ -449,8 +449,14 @@ TEST(MigrationJournalTest, SerializeParseRoundTripsExactly) {
   EXPECT_EQ(parsed->LastFor(42)->phase, MigrationPhase::kPrepared);
   EXPECT_EQ(parsed->LastFor(7)->phase, MigrationPhase::kRolledBack);
 
-  EXPECT_FALSE(MigrationJournal::Parse("nonsense").ok());
-  EXPECT_FALSE(MigrationJournal::Parse("migration-journal v1\nrec bogus 1 0 1 2\n").ok());
+  // v2 is the only format: anything else — the retired v1 included — is
+  // rejected at the header.
+  for (const char* text : {"nonsense", "migration-journal v1\nrec intent 1 0 1 2\n",
+                           "migration-journal v3\n"}) {
+    const Result<MigrationJournal> rejected = MigrationJournal::Parse(text);
+    ASSERT_FALSE(rejected.ok()) << text;
+    EXPECT_NE(rejected.status().message().find("bad header"), std::string::npos) << text;
+  }
 }
 
 TEST(MigrationJournalTest, InFlightIsTheLastWordOnly) {

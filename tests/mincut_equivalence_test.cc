@@ -27,7 +27,6 @@
 
 #include "src/mincut/compact_flow_network.h"
 #include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
 #include "src/mincut/incremental.h"
 #include "src/mincut/push_relabel.h"
 #include "src/mincut/relabel_to_front.h"
@@ -56,8 +55,8 @@ struct GraphSpec {
   std::vector<SpecEdge> edges;
 };
 
-FlowNetwork BuildNetwork(const GraphSpec& spec) {
-  FlowNetwork network(spec.node_count);
+CompactFlowNetwork BuildNetwork(const GraphSpec& spec) {
+  CompactFlowNetwork network(spec.node_count);
   for (const SpecEdge& edge : spec.edges) {
     if (edge.directed) {
       network.AddArc(edge.a, edge.b, edge.capacity);
@@ -70,7 +69,7 @@ FlowNetwork BuildNetwork(const GraphSpec& spec) {
 
 std::string Describe(const GraphSpec& spec) {
   std::ostringstream out;
-  out << "FlowNetwork network(" << spec.node_count << ");  // source="
+  out << "CompactFlowNetwork network(" << spec.node_count << ");  // source="
       << spec.source << " sink=" << spec.sink << "\n";
   for (const SpecEdge& edge : spec.edges) {
     out << "network." << (edge.directed ? "AddArc" : "AddEdge") << "(" << edge.a
@@ -88,18 +87,31 @@ std::string Describe(const GraphSpec& spec) {
 // ---------------------------------------------------------------------------
 // Reference oracle: exhaustive minimum cut by partition enumeration.
 //
-// Independent of both flow algorithms — it never routes a unit of flow.
-// For every subset S with source in S and sink out of S, sum the capacity
-// of stored arcs leaving S (undirected edges contribute their arc in the
-// crossing direction; AddArc's zero-capacity reverse stubs add nothing)
-// and take the exact minimum. Saturating addition makes the infeasible
-// case (every cut crosses a sentinel) come out as exactly
-// kInfiniteCapacity, matching the algorithms' promotion rule. Exponential
-// in non-terminal nodes, so the generator keeps graphs <= 12 nodes.
+// Independent of every flow algorithm and of the network type they share —
+// it never routes a unit of flow and reads only the spec's edge list. For
+// every subset S with source in S and sink out of S, sum the capacity of
+// edges leaving S (an undirected edge crosses in whichever direction it
+// is cut; a directed edge only from its tail's side) and take the exact
+// minimum. Saturating addition makes the infeasible case (every cut
+// crosses a sentinel) come out as exactly kInfiniteCapacity, matching the
+// algorithms' promotion rule. Exponential in non-terminal nodes, so the
+// generator keeps graphs <= 12 nodes.
+
+// Capacity leaving the node set `in_s`, summed from the spec's edges.
+CapUnits CrossingCapacity(const GraphSpec& spec, const std::vector<bool>& in_s) {
+  CapUnits crossing = 0;
+  for (const SpecEdge& edge : spec.edges) {
+    const bool a_in = in_s[static_cast<size_t>(edge.a)];
+    const bool b_in = in_s[static_cast<size_t>(edge.b)];
+    if (edge.directed ? (a_in && !b_in) : (a_in != b_in)) {
+      crossing = SatAdd(crossing, edge.capacity);
+    }
+  }
+  return crossing;
+}
 
 CapUnits ReferenceMinCut(const GraphSpec& spec) {
-  const FlowNetwork network = BuildNetwork(spec);
-  const int n = network.node_count();
+  const int n = spec.node_count;
   std::vector<int> inner;
   for (int v = 0; v < n; ++v) {
     if (v != spec.source && v != spec.sink) {
@@ -117,37 +129,9 @@ CapUnits ReferenceMinCut(const GraphSpec& spec) {
         in_s[static_cast<size_t>(inner[i])] = true;
       }
     }
-    CapUnits crossing = 0;
-    for (int v = 0; v < n; ++v) {
-      if (!in_s[static_cast<size_t>(v)]) {
-        continue;
-      }
-      for (const FlowArc& arc : network.ArcsFrom(v)) {
-        if (!in_s[static_cast<size_t>(arc.to)]) {
-          crossing = SatAdd(crossing, arc.capacity);
-        }
-      }
-    }
-    best = std::min(best, crossing);
+    best = std::min(best, CrossingCapacity(spec, in_s));
   }
   return best;
-}
-
-// Capacity crossing the partition claimed by a cut result, recomputed
-// exactly from the network's arcs (forward arcs leaving the source side).
-CapUnits PartitionCapacity(const FlowNetwork& network, const CutResult& cut) {
-  CapUnits total = 0;
-  for (int node = 0; node < network.node_count(); ++node) {
-    if (!cut.in_source_side[static_cast<size_t>(node)]) {
-      continue;
-    }
-    for (const FlowArc& arc : network.ArcsFrom(node)) {
-      if (!cut.in_source_side[static_cast<size_t>(arc.to)]) {
-        total = SatAdd(total, arc.capacity);
-      }
-    }
-  }
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +270,7 @@ CapUnits PerturbedCapacity(size_t index, CapUnits capacity) {
 
 Disagreement CheckGraph(const GraphSpec& spec) {
   Disagreement result;
-  const FlowNetwork network = BuildNetwork(spec);
+  const CompactFlowNetwork network = BuildNetwork(spec);
   const CutResult lift = MinCutRelabelToFront(network, spec.source, spec.sink);
   const CutResult baseline = MinCutEdmondsKarp(network, spec.source, spec.sink);
   const CutResult highest = MinCutPushRelabel(network, spec.source, spec.sink);
@@ -329,15 +313,15 @@ Disagreement CheckGraph(const GraphSpec& spec) {
     why << "PR-warm " << warm.cut_value << " != reference " << reference << "; ";
   }
   auto check_partition = [&](const char* name, const CutResult& cut) {
-    if (static_cast<int>(cut.in_source_side.size()) != network.node_count() ||
+    if (static_cast<int>(cut.in_source_side.size()) != spec.node_count ||
         !cut.in_source_side[static_cast<size_t>(spec.source)] ||
         cut.in_source_side[static_cast<size_t>(spec.sink)]) {
       why << name << " returned a non-separating partition; ";
       return;
     }
     // Max-flow/min-cut certificate: the capacity crossing the returned
-    // partition equals the reported cut value, exactly.
-    const CapUnits crossing = PartitionCapacity(network, cut);
+    // partition, summed from the spec, equals the reported cut value.
+    const CapUnits crossing = CrossingCapacity(spec, cut.in_source_side);
     if (crossing != cut.cut_value) {
       why << name << " partition crosses " << crossing << " but reports "
           << cut.cut_value << "; ";
@@ -452,8 +436,7 @@ TEST(MinCutDifferentialFuzzTest, ReplaysDeterministically) {
   // The generator itself is part of the test's determinism contract.
   auto fingerprint = [](uint64_t seed) {
     const GraphSpec spec = GenGraph(seed);
-    const FlowNetwork network = BuildNetwork(spec);
-    return MinCutRelabelToFront(network, spec.source, spec.sink).cut_value;
+    return MinCutRelabelToFront(BuildNetwork(spec), spec.source, spec.sink).cut_value;
   };
   EXPECT_EQ(fingerprint(11), fingerprint(11));
   EXPECT_EQ(fingerprint(12), fingerprint(12));
@@ -465,7 +448,7 @@ TEST(MinCutDifferentialFuzzTest, NearEqualCapacitiesStayExact) {
   // difference: the cut must pick the smaller side exactly. This is the
   // family-1 failure mode pinned as a unit test.
   constexpr CapUnits base = CapUnits{1} << 53;
-  FlowNetwork network(4);
+  CompactFlowNetwork network(4);
   network.AddArc(0, 2, base + 1);
   network.AddArc(2, 1, base);      // This path's bottleneck: base.
   network.AddArc(0, 3, base);

@@ -24,7 +24,6 @@
 
 #include "src/mincut/compact_flow_network.h"
 #include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
 #include "src/mincut/incremental.h"
 #include "src/mincut/push_relabel.h"
 #include "src/mincut/relabel_to_front.h"
@@ -56,8 +55,8 @@ struct DeltaCase {
   std::vector<std::vector<Delta>> steps;
 };
 
-FlowNetwork BuildNetwork(const DeltaCase& c, const std::vector<CapUnits>& capacities) {
-  FlowNetwork network(c.node_count);
+CompactFlowNetwork BuildNetwork(const DeltaCase& c, const std::vector<CapUnits>& capacities) {
+  CompactFlowNetwork network(c.node_count);
   for (size_t i = 0; i < c.edges.size(); ++i) {
     if (c.edges[i].directed) {
       network.AddArc(c.edges[i].a, c.edges[i].b, capacities[i]);
@@ -68,11 +67,26 @@ FlowNetwork BuildNetwork(const DeltaCase& c, const std::vector<CapUnits>& capaci
   return network;
 }
 
+// Capacity leaving the node set `in_s`, summed from the case's edge list
+// at the given capacities — no network object involved.
+CapUnits CrossingCapacity(const DeltaCase& c, const std::vector<CapUnits>& capacities,
+                          const std::vector<bool>& in_s) {
+  CapUnits crossing = 0;
+  for (size_t i = 0; i < c.edges.size(); ++i) {
+    const bool a_in = in_s[static_cast<size_t>(c.edges[i].a)];
+    const bool b_in = in_s[static_cast<size_t>(c.edges[i].b)];
+    if (c.edges[i].directed ? (a_in && !b_in) : (a_in != b_in)) {
+      crossing = SatAdd(crossing, capacities[i]);
+    }
+  }
+  return crossing;
+}
+
 // Exhaustive partition-enumeration minimum cut, independent of any flow
-// algorithm (same construction as mincut_equivalence_test).
+// algorithm and of the network type the solvers share (same construction
+// as mincut_equivalence_test).
 CapUnits ReferenceMinCut(const DeltaCase& c, const std::vector<CapUnits>& capacities) {
-  const FlowNetwork network = BuildNetwork(c, capacities);
-  const int n = network.node_count();
+  const int n = c.node_count;
   std::vector<int> inner;
   for (int v = 0; v < n; ++v) {
     if (v != c.source && v != c.sink) {
@@ -90,35 +104,9 @@ CapUnits ReferenceMinCut(const DeltaCase& c, const std::vector<CapUnits>& capaci
         in_s[static_cast<size_t>(inner[i])] = true;
       }
     }
-    CapUnits crossing = 0;
-    for (int v = 0; v < n; ++v) {
-      if (!in_s[static_cast<size_t>(v)]) {
-        continue;
-      }
-      for (const FlowArc& arc : network.ArcsFrom(v)) {
-        if (!in_s[static_cast<size_t>(arc.to)]) {
-          crossing = SatAdd(crossing, arc.capacity);
-        }
-      }
-    }
-    best = std::min(best, crossing);
+    best = std::min(best, CrossingCapacity(c, capacities, in_s));
   }
   return best;
-}
-
-CapUnits PartitionCapacity(const FlowNetwork& network, const CutResult& cut) {
-  CapUnits total = 0;
-  for (int node = 0; node < network.node_count(); ++node) {
-    if (!cut.in_source_side[static_cast<size_t>(node)]) {
-      continue;
-    }
-    for (const FlowArc& arc : network.ArcsFrom(node)) {
-      if (!cut.in_source_side[static_cast<size_t>(arc.to)]) {
-        total = SatAdd(total, arc.capacity);
-      }
-    }
-  }
-  return total;
 }
 
 std::string CapString(CapUnits capacity) {
@@ -185,7 +173,7 @@ Failure RunCase(const DeltaCase& c) {
       }
     }
     const CutResult live = session.Solve();
-    const FlowNetwork network = BuildNetwork(c, capacities);
+    const CompactFlowNetwork network = BuildNetwork(c, capacities);
     const CutResult cold = MinCutPushRelabel(network, c.source, c.sink);
     const CutResult lift = MinCutRelabelToFront(network, c.source, c.sink);
     const CutResult baseline = MinCutEdmondsKarp(network, c.source, c.sink);
@@ -212,7 +200,7 @@ Failure RunCase(const DeltaCase& c) {
         live.in_source_side[static_cast<size_t>(c.sink)]) {
       complain("session returned a non-separating partition");
     } else {
-      const CapUnits crossing = PartitionCapacity(network, live);
+      const CapUnits crossing = CrossingCapacity(c, capacities, live.in_source_side);
       if (crossing != live.cut_value) {
         complain("session partition crosses " + std::to_string(crossing) +
                  " but reports " + std::to_string(live.cut_value));
@@ -375,8 +363,9 @@ TEST(MinCutIncrementalFuzzTest, ShrinkerReducesStepsAndDeltas) {
         capacities[delta.edge] = delta.capacity;
       }
     }
-    const FlowNetwork network = BuildNetwork(candidate, capacities);
-    return MinCutEdmondsKarp(network, candidate.source, candidate.sink).cut_value != 5;
+    return MinCutEdmondsKarp(BuildNetwork(candidate, capacities), candidate.source,
+                             candidate.sink)
+               .cut_value != 5;
   };
   ASSERT_TRUE(fails(c));
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
 
 namespace coign {
@@ -132,6 +133,110 @@ TEST_P(MultiwayPropertyTest, WithinApproximationBoundOfBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiwayPropertyTest,
                          ::testing::Range(uint64_t{2000}, uint64_t{2012}));
+
+// The isolation heuristic rebuilt on the lift-to-front oracle: the same
+// isolating networks, discard rule and union as MultiwayCutIsolation, but
+// every isolating cut comes from MinCutRelabelToFront.
+MultiwayCutResult IsolationByRelabelToFront(int node_count, const EdgeList& edges,
+                                            const std::vector<int>& terminals) {
+  const size_t k = terminals.size();
+  std::vector<CutResult> cuts;
+  for (size_t t = 0; t < k; ++t) {
+    CompactFlowNetwork network(node_count + 1);
+    for (const auto& [a, b, weight] : edges) {
+      network.AddEdge(a, b, weight);
+    }
+    for (size_t other = 0; other < k; ++other) {
+      if (other != t) {
+        network.AddArc(terminals[other], node_count, kInfiniteCapacity);
+      }
+    }
+    cuts.push_back(MinCutRelabelToFront(network, terminals[t], node_count));
+  }
+  size_t discarded = 0;
+  for (size_t t = 1; t < k; ++t) {
+    if (cuts[t].cut_value > cuts[discarded].cut_value) {
+      discarded = t;
+    }
+  }
+  MultiwayCutResult result;
+  result.assignment.assign(static_cast<size_t>(node_count), static_cast<int>(discarded));
+  for (size_t t = 0; t < k; ++t) {
+    if (t == discarded) {
+      continue;
+    }
+    for (int node = 0; node < node_count; ++node) {
+      if (cuts[t].in_source_side[static_cast<size_t>(node)]) {
+        result.assignment[static_cast<size_t>(node)] = static_cast<int>(t);
+      }
+    }
+  }
+  for (size_t t = 0; t < k; ++t) {
+    result.assignment[static_cast<size_t>(terminals[t])] = static_cast<int>(t);
+  }
+  result.total_weight = AssignmentWeight(edges, result.assignment);
+  return result;
+}
+
+// Seeded random graphs in three families: general weights, tied cuts
+// (weights 1-3, so many equal minimum cuts), and sentinel edges (pins of
+// free nodes to terminals plus colocation pairs, as AnalyzeMultiway emits
+// them). The production path must reproduce the oracle isolation exactly.
+// An unsatisfiable instance (total weight at the sentinel) only has to
+// agree on the total: its saturated "flows" are not maximum flows, so the
+// unique-minimal-cut argument that pins the partition does not apply, and
+// AnalyzeMultiway rejects such a cut before using its assignment.
+TEST(MultiwayCutTest, MatchesIsolationBuiltFromRelabelToFront) {
+  int sentinel_feasible = 0;
+  int infeasible = 0;
+  for (uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(0x3a11 + seed);
+    const int family = static_cast<int>(seed % 3);
+    const int k = static_cast<int>(rng.UniformInt(2, 4));
+    const int n = k + static_cast<int>(rng.UniformInt(1, 12));
+    std::vector<int> terminals;
+    for (int t = 0; t < k; ++t) {
+      terminals.push_back(t);
+    }
+    EdgeList edges;
+    bool has_sentinel = false;
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        if (!rng.Bernoulli(0.4)) {
+          continue;
+        }
+        const CapUnits weight =
+            family == 1 ? rng.UniformInt(1, 3) : rng.UniformInt(1, 50'000'000);
+        edges.emplace_back(a, b, weight);
+        if (family == 2 && a >= k && rng.Bernoulli(0.15)) {
+          edges.emplace_back(a, b, kInfiniteCapacity);  // Colocation pair.
+          has_sentinel = true;
+        }
+      }
+    }
+    for (int v = k; v < n && family == 2; ++v) {
+      if (rng.Bernoulli(0.25)) {
+        const int pin = static_cast<int>(rng.UniformInt(0, k - 1));
+        edges.emplace_back(pin, v, kInfiniteCapacity);
+        has_sentinel = true;
+      }
+    }
+
+    const MultiwayCutResult production = MultiwayCutIsolation(n, edges, terminals);
+    const MultiwayCutResult oracle = IsolationByRelabelToFront(n, edges, terminals);
+    EXPECT_EQ(production.total_weight, oracle.total_weight) << "seed " << seed;
+    if (oracle.total_weight == kInfiniteCapacity) {
+      ++infeasible;
+      continue;
+    }
+    EXPECT_EQ(production.assignment, oracle.assignment) << "seed " << seed;
+    sentinel_feasible += has_sentinel ? 1 : 0;
+  }
+  // Both sentinel regimes must actually occur, or the hard cases went
+  // untested.
+  EXPECT_GT(sentinel_feasible, 20);
+  EXPECT_GT(infeasible, 5);
+}
 
 }  // namespace
 }  // namespace coign

@@ -1,6 +1,6 @@
 // Property tests for the single quantization boundary between the
 // prediction layer (double seconds) and the min-cut layer (integer
-// CapUnits). Two claims, both from the documented bound in flow_network.h:
+// CapUnits). Two claims, both from the documented bound in compact_flow_network.h:
 //
 //  1. Round-tripping seconds -> CapUnits -> seconds moves any value by at
 //     most 1 unit (1 ps) for times inside the analysis domain, so a cut
@@ -16,15 +16,15 @@
 #include <tuple>
 #include <vector>
 
+#include "src/mincut/compact_flow_network.h"
 #include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
 #include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
 
 namespace coign {
 namespace {
 
-constexpr double kPerEdgeBoundSeconds = 1e-12;  // 1 unit, per flow_network.h.
+constexpr double kPerEdgeBoundSeconds = 1e-12;  // 1 unit, per compact_flow_network.h.
 
 TEST(QuantizationTest, RoundTripStaysWithinOneUnitAcrossMagnitudes) {
   // Magnitudes from sub-nanosecond message costs to kiloseconds of bulk
@@ -65,7 +65,7 @@ TEST(QuantizationTest, PartitionValuePerturbedByAtMostOneUnitPerEdge) {
         }
       }
     }
-    FlowNetwork network(n);
+    CompactFlowNetwork network(n);
     for (const auto& [a, b, w] : edges) {
       network.AddEdge(a, b, SecondsToCapUnits(w));
     }
@@ -109,8 +109,8 @@ TEST(QuantizationTest, CutMembershipInvariantWhenGapsExceedTheBound) {
       }
     }
 
-    FlowNetwork quantized(n);
-    FlowNetwork exact(n);
+    CompactFlowNetwork quantized(n);
+    CompactFlowNetwork exact(n);
     for (const auto& [a, b, p] : edges) {
       const double micros = static_cast<double>(int64_t{1} << p);
       // Jitter below the representable quantization step: must not matter.

@@ -3,8 +3,8 @@
 #include <tuple>
 #include <vector>
 
+#include "src/mincut/compact_flow_network.h"
 #include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
 #include "src/mincut/push_relabel.h"
 #include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
@@ -12,7 +12,7 @@
 namespace coign {
 namespace {
 
-using CutFn = CutResult (*)(const FlowNetwork&, int, int);
+using CutFn = CutResult (*)(const CompactFlowNetwork&, int, int);
 
 struct AlgorithmParam {
   const char* name;
@@ -22,7 +22,7 @@ struct AlgorithmParam {
 class MinCutAlgorithmTest : public ::testing::TestWithParam<AlgorithmParam> {};
 
 TEST_P(MinCutAlgorithmTest, SingleEdge) {
-  FlowNetwork network(2);
+  CompactFlowNetwork network(2);
   network.AddEdge(0, 1, 5);
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, 5);
@@ -32,7 +32,7 @@ TEST_P(MinCutAlgorithmTest, SingleEdge) {
 }
 
 TEST_P(MinCutAlgorithmTest, DisconnectedTerminalsHaveZeroCut) {
-  FlowNetwork network(4);
+  CompactFlowNetwork network(4);
   network.AddEdge(0, 2, 9);
   network.AddEdge(1, 3, 9);
   const CutResult cut = GetParam().fn(network, 0, 1);
@@ -42,7 +42,7 @@ TEST_P(MinCutAlgorithmTest, DisconnectedTerminalsHaveZeroCut) {
 
 TEST_P(MinCutAlgorithmTest, ClassicClrsExample) {
   // CLRS figure-style network: directed arcs.
-  FlowNetwork network(6);
+  CompactFlowNetwork network(6);
   network.AddArc(0, 1, 16);
   network.AddArc(0, 2, 13);
   network.AddArc(1, 2, 10);
@@ -60,7 +60,7 @@ TEST_P(MinCutAlgorithmTest, ClassicClrsExample) {
 TEST_P(MinCutAlgorithmTest, PathBottleneck) {
   // Capacities in units (3/2 of the old float fixture, scaled by 2 to
   // stay integral): the bottleneck edge decides the cut exactly.
-  FlowNetwork network(5);
+  CompactFlowNetwork network(5);
   network.AddEdge(0, 1, 20);
   network.AddEdge(1, 2, 3);  // Bottleneck.
   network.AddEdge(2, 3, 20);
@@ -74,7 +74,7 @@ TEST_P(MinCutAlgorithmTest, PathBottleneck) {
 TEST_P(MinCutAlgorithmTest, InfiniteConstraintEdgeNeverCut) {
   // A "pinned" node wired to the source with kInfiniteCapacity must end up
   // on the source side even when all its other traffic points at the sink.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 2, kInfiniteCapacity);  // Constraint: 2 stays with 0.
   network.AddEdge(2, 1, 100);                // Heavy traffic toward the sink.
   const CutResult cut = GetParam().fn(network, 0, 1);
@@ -85,7 +85,7 @@ TEST_P(MinCutAlgorithmTest, InfiniteConstraintEdgeNeverCut) {
 TEST_P(MinCutAlgorithmTest, StarGraphCutsCheaperSide) {
   // Node 2 talks 1 unit to the client and 3 to the server: it belongs on
   // the server side; the cut pays only the client edge.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 2, 1);
   network.AddEdge(2, 1, 3);
   const CutResult cut = GetParam().fn(network, 0, 1);
@@ -98,7 +98,7 @@ TEST_P(MinCutAlgorithmTest, InfeasibleSentinelPathReportsInfiniteCut) {
   // algorithms must report exactly kInfiniteCapacity — the analysis
   // engine's unsatisfiable-constraints signal — and terminate doing so
   // (the float era could spin here; exact arithmetic cannot).
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 2, kInfiniteCapacity);
   network.AddEdge(2, 1, kInfiniteCapacity);
   network.AddEdge(0, 1, 7);  // Finite traffic alongside the pins.
@@ -110,7 +110,7 @@ TEST_P(MinCutAlgorithmTest, ParallelSentinelArcsIntoOneNodeStayExact) {
   // Two sentinel arcs feeding node 3 saturate its stored excess in
   // push-relabel (kInf + kInf clamps); the surplus must drain back to the
   // source without disturbing the finite cut value.
-  FlowNetwork network(5);
+  CompactFlowNetwork network(5);
   network.AddArc(0, 2, kInfiniteCapacity);
   network.AddArc(0, 3, kInfiniteCapacity);
   network.AddArc(2, 3, kInfiniteCapacity);
@@ -124,7 +124,7 @@ TEST_P(MinCutAlgorithmTest, SummedCapacitiesNearInt64MaxSaturateToSentinel) {
   // Three parallel finite edges each close to the finite maximum: the true
   // max flow exceeds int64 range, so the reported value must saturate to
   // exactly the sentinel in both algorithms rather than wrapping.
-  FlowNetwork network(5);
+  CompactFlowNetwork network(5);
   network.AddArc(0, 2, kMaxFiniteCapacity - 2);
   network.AddArc(0, 3, kMaxFiniteCapacity - 2);
   network.AddArc(0, 4, kMaxFiniteCapacity - 2);
@@ -138,7 +138,7 @@ TEST_P(MinCutAlgorithmTest, SummedCapacitiesNearInt64MaxSaturateToSentinel) {
 TEST_P(MinCutAlgorithmTest, NearMaxFiniteCapacitySingleEdgeIsExact) {
   // One edge just below the sentinel: the flow is huge but representable,
   // and the result must be bit-exact, not approximately large.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddArc(0, 2, kMaxFiniteCapacity - 1);
   network.AddArc(2, 1, kMaxFiniteCapacity - 7);
   const CutResult cut = GetParam().fn(network, 0, 1);
@@ -177,7 +177,7 @@ TEST(SaturatingArithmeticTest, SubSaturatesAtTheRails) {
 TEST(SaturatingArithmeticTest, ResidualOfSentinelArcSaturates) {
   // A sentinel-capacity arc whose reverse owes sentinel-scale flow has a
   // residual beyond int64 range; it must clamp to the sentinel, not wrap.
-  FlowArc arc;
+  CompactArc arc;
   arc.capacity = kInfiniteCapacity;
   arc.flow = -kInfiniteCapacity;
   EXPECT_EQ(arc.Residual(), kInfiniteCapacity);
@@ -216,14 +216,12 @@ TEST_P(RandomGraphTest, AlgorithmsAgreeAndCutsAreConsistent) {
     }
   }
 
-  FlowNetwork network1(n);
-  FlowNetwork network2(n);
+  CompactFlowNetwork network(n);
   for (const auto& [a, b, w] : edges) {
-    network1.AddEdge(a, b, w);
-    network2.AddEdge(a, b, w);
+    network.AddEdge(a, b, w);
   }
-  const CutResult rtf = MinCutRelabelToFront(network1, 0, n - 1);
-  const CutResult ek = MinCutEdmondsKarp(network2, 0, n - 1);
+  const CutResult rtf = MinCutRelabelToFront(network, 0, n - 1);
+  const CutResult ek = MinCutEdmondsKarp(network, 0, n - 1);
 
   EXPECT_EQ(rtf.cut_value, ek.cut_value);
 
@@ -243,27 +241,31 @@ TEST_P(RandomGraphTest, AlgorithmsAgreeAndCutsAreConsistent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphTest,
                          ::testing::Range(uint64_t{1000}, uint64_t{1020}));
 
-TEST(FlowNetworkTest, CutsDoNotMutateTheInputNetwork) {
+TEST(CompactFlowNetworkTest, CutsDoNotMutateTheInputNetwork) {
   // The const& entry points work on per-call copies: repeated cuts over
   // the same network agree, and the caller's arcs keep zero flow.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 1, 2);
   network.AddEdge(1, 2, 2);
+  network.Finalize();
   const CutResult first = MinCutRelabelToFront(network, 0, 2);
   const CutResult second = MinCutRelabelToFront(network, 0, 2);
   EXPECT_EQ(first.cut_value, second.cut_value);
-  for (int node = 0; node < network.node_count(); ++node) {
-    for (const FlowArc& arc : network.ArcsFrom(node)) {
-      EXPECT_EQ(arc.flow, 0);
-    }
+  EXPECT_EQ(MinCutEdmondsKarp(network, 0, 2).cut_value, first.cut_value);
+  EXPECT_EQ(MinCutPushRelabel(network, 0, 2).cut_value, first.cut_value);
+  for (int a = 0; a < network.arc_count(); ++a) {
+    EXPECT_EQ(network.arc(a).flow, 0);
   }
-  // ResetFlow stays available for callers that build flows by hand.
-  network.ResetFlow();
+  // A network that already carries flow is cut from zero flow all the same.
+  network.arc(network.EdgeForwardArc(0)).flow = 1;
+  network.arc(network.arc(network.EdgeForwardArc(0)).reverse).flow = -1;
   EXPECT_EQ(MinCutRelabelToFront(network, 0, 2).cut_value, first.cut_value);
+  EXPECT_EQ(MinCutEdmondsKarp(network, 0, 2).cut_value, first.cut_value);
+  EXPECT_EQ(MinCutPushRelabel(network, 0, 2).cut_value, first.cut_value);
 }
 
-TEST(FlowNetworkTest, ExtractCutListsSaturatedCrossingEdges) {
-  FlowNetwork network(4);
+TEST(CompactFlowNetworkTest, ExtractCutListsSaturatedCrossingEdges) {
+  CompactFlowNetwork network(4);
   network.AddEdge(0, 1, 1);
   network.AddEdge(0, 2, 1);
   network.AddEdge(1, 3, 1);

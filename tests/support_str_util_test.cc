@@ -43,6 +43,20 @@ TEST(StartsWithTest, Basics) {
   EXPECT_FALSE(StartsWith("a", "ab"));
 }
 
+TEST(ParseFixedHexTest, AcceptsExactlyTheWrittenForm) {
+  uint64_t value = 0;
+  ASSERT_TRUE(ParseFixedHex("0000ffff", 8, &value));
+  EXPECT_EQ(value, 0xffffu);
+  ASSERT_TRUE(ParseFixedHex(StrFormat("%016llx", 0x3ff0000000000000ull), 16, &value));
+  EXPECT_EQ(value, 0x3ff0000000000000ull);
+  EXPECT_FALSE(ParseFixedHex("ffff", 8, &value));       // Too short.
+  EXPECT_FALSE(ParseFixedHex("0000ffff0", 8, &value));  // Too long.
+  EXPECT_FALSE(ParseFixedHex("0000FFFF", 8, &value));   // Uppercase is never written.
+  EXPECT_FALSE(ParseFixedHex("0000fffg", 8, &value));
+  EXPECT_FALSE(ParseFixedHex(" 000ffff", 8, &value));
+  EXPECT_EQ(value, 0x3ff0000000000000ull);  // Untouched on failure.
+}
+
 TEST(FormatBytesTest, UnitsScale) {
   EXPECT_EQ(FormatBytes(0), "0 B");
   EXPECT_EQ(FormatBytes(512), "512 B");
