@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/analysis/prediction.h"
@@ -71,6 +72,17 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
     }
   }
 
+  // The profile is compiled once, shared read-only by every cohort task
+  // and the regret pass; a fully warm replan without regret needs none.
+  std::optional<CompiledProfile> compiled;
+  if (!misses.empty() || options_.compute_regret) {
+    Result<CompiledProfile> compiling = engine_.Compile(profile);
+    if (!compiling.ok()) {
+      return compiling.status();
+    }
+    compiled.emplace(*std::move(compiling));
+  }
+
   // Analyze the missing cohorts across the pool; each task writes only its
   // own slot. Errors are collected per slot and reported in index order.
   std::vector<Status> task_status(misses.size());
@@ -81,10 +93,10 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
     // min cut toward fewer, larger crossings than the clean bucket's plan.
     const NetworkProfile pricing = NetworkProfile::Exact(
         InflateForLoss(plan.cohort.representative, plan.cohort.representative_drop));
-    // Per-slot warm start: cohort graphs share topology (same profile),
+    // Per-slot warm start: every cohort cuts the same contracted network,
     // so each solve after a slot's first resumes from retained flow.
     Result<AnalysisResult> analyzed = engine_.Analyze(
-        profile, pricing, &cut_sessions_[static_cast<size_t>(WorkerPool::CurrentSlot())]);
+        *compiled, pricing, &cut_sessions_[static_cast<size_t>(WorkerPool::CurrentSlot())]);
     if (analyzed.ok()) {
       plan.analysis = *std::move(analyzed);
     } else {
@@ -156,7 +168,7 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
     const ExecutionPrediction cohort_prediction = PredictExecutionTime(
         profile, result.plans[cohort_index].analysis.distribution, exact);
     Result<AnalysisResult> optimal = engine_.Analyze(
-        profile, exact, &cut_sessions_[static_cast<size_t>(WorkerPool::CurrentSlot())]);
+        *compiled, exact, &cut_sessions_[static_cast<size_t>(WorkerPool::CurrentSlot())]);
     if (!optimal.ok()) {
       regret_status[i] = optimal.status();
       return;

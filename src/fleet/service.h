@@ -6,8 +6,10 @@
 //   2. cohort the fleet by log-bucketed network parameters (cohort.h);
 //   3. probe the plan cache per cohort, coordinator-side, in grid order
 //      (deterministic LRU traffic);
-//   4. compute the missing cohort plans — full analysis-engine cuts priced
-//      at each bucket's geometric center — across the worker pool;
+//   4. compile the profile once (only if a cohort missed or regret is
+//      on), then compute the missing cohort plans — analysis-engine cuts
+//      of that one compiled profile priced at each bucket's geometric
+//      center — across the worker pool;
 //   5. insert the new plans, again in grid order;
 //   6. optionally compute per-client execution-time regret against each
 //      client's individually optimal cut (the expensive per-client path
@@ -125,13 +127,14 @@ class FleetPartitionService {
   PlanCache cache_;
   WorkerPool pool_;
   // One warm-start cut session per pool slot (coordinator + workers).
-  // Successive analyses on the same thread share a fleet profile and
-  // differ only in network pricing, so most solves within a Plan() call —
-  // and across repeat calls — resume from retained flow instead of
-  // starting cold. Sessions never change results (warm and cold cuts are
-  // bit-identical), so the byte-identical-output determinism contract is
-  // untouched; no mincut metrics are emitted from the fleet path for the
-  // same reason — counters would vary with thread count.
+  // Successive analyses on the same thread cut the same contracted
+  // network and differ only in its pricing, so most solves within a
+  // Plan() call — and across repeat calls — resume from retained flow
+  // instead of starting cold. Sessions never change results (warm and
+  // cold cuts are bit-identical), so the byte-identical-output
+  // determinism contract is untouched; no mincut metrics are emitted
+  // from the fleet path for the same reason — counters would vary with
+  // thread count.
   std::vector<MinCutSession> cut_sessions_;
 };
 

@@ -11,7 +11,7 @@
 #ifndef COIGN_SRC_GRAPH_CONCRETE_GRAPH_H_
 #define COIGN_SRC_GRAPH_CONCRETE_GRAPH_H_
 
-#include <tuple>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +28,30 @@ struct ConcreteEdge {
   double seconds = 0.0;   // Predicted communication time if a and b split.
                           // Always 0 on constraint edges (flag is authoritative).
   bool constraint = false;  // True for un-cuttable constraint edges.
+};
+
+// A concrete edge before pricing: the network-independent half of a
+// ConcreteEdge. Communication edges carry their abstract edge's two
+// totals; constraint edges carry zeros.
+struct UnpricedEdge {
+  int a = 0;
+  int b = 0;
+  uint64_t message_count = 0;
+  uint64_t message_bytes = 0;
+  bool constraint = false;
+};
+
+// The network-independent half of ConcreteGraph::Build: the dense node
+// numbering and every edge, unpriced, in Build's order. Build prices
+// exactly these edges; the analysis engine compiles them once per profile
+// and prices them once per network.
+struct ConcreteTopology {
+  std::vector<ClassificationId> node_ids;  // Dense index - 2 → classification.
+  std::unordered_map<ClassificationId, int> index;
+  std::vector<UnpricedEdge> edges;
+
+  static ConcreteTopology Build(const AbstractIccGraph& abstract,
+                                const LocationConstraints& constraints);
 };
 
 class ConcreteGraph {
@@ -56,8 +80,6 @@ class ConcreteGraph {
   double TotalCommunicationSeconds() const;
 
  private:
-  void AddEdge(int a, int b, double seconds, bool constraint);
-
   std::vector<ClassificationId> node_ids_;  // Dense index - 2 → classification.
   std::unordered_map<ClassificationId, int> index_;
   std::vector<ConcreteEdge> edges_;
@@ -66,6 +88,7 @@ class ConcreteGraph {
 // Predicted communication seconds of one abstract edge under a network
 // profile: count * per-message + bytes * per-byte (exact under the affine
 // model because histograms preserve totals).
+double EdgeSeconds(uint64_t message_count, uint64_t message_bytes, const NetworkProfile& network);
 double EdgeSeconds(const AbstractIccGraph::Edge& edge, const NetworkProfile& network);
 
 }  // namespace coign

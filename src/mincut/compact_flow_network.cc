@@ -67,6 +67,20 @@ void CompactFlowNetwork::Finalize() {
   }
 }
 
+bool CompactFlowNetwork::SameTopology(const CompactFlowNetwork& other) const {
+  if (node_count_ != other.node_count_ || edges_.size() != other.edges_.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    const StagedEdge& x = edges_[i];
+    const StagedEdge& y = other.edges_[i];
+    if (x.from != y.from || x.to != y.to || x.directed != y.directed) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void CompactFlowNetwork::SetEdgeCapacity(int edge_id, CapUnits capacity) {
   assert(finalized_);
   assert(edge_id >= 0 && edge_id < edge_count());

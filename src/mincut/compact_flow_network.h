@@ -170,6 +170,11 @@ class CompactFlowNetwork {
 
   void ResetFlow();
 
+  // True when both networks stage the same edges (endpoints and
+  // direction, in id order) over the same node count, whatever their
+  // capacities and flows: capacity deltas by edge id carry over.
+  bool SameTopology(const CompactFlowNetwork& other) const;
+
   // Derives the partition once a maximum flow is in place: source side =
   // residual-reachable set, cut_edges = positive-capacity arcs leaving it
   // in ascending-node then arc order. If a sentinel-capacity arc crosses

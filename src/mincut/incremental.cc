@@ -66,13 +66,20 @@ bool IncrementalMinCut::RepairFlow() {
   // off an arc leaves +d at its tail (ordinary preflow excess, fine) and
   // -d at its head (a deficit that must be cancelled before the solver
   // can resume).
+  //
+  // Each flow is finite, but a node's sum of near-sentinel flows need not
+  // be: a saturated balance has absorbed units, so repair would be
+  // unsound — cold-solve instead, as for saturated flows above.
   const int n = network_.node_count();
   balance_.assign(static_cast<size_t>(n), 0);
   for (int v = 0; v < n; ++v) {
     const int end = network_.first_out(v + 1);
     CapUnits balance = 0;
     for (int a = network_.first_out(v); a < end; ++a) {
-      balance -= network_.arc(a).flow;  // Exact: guard above bounds |flow|.
+      balance = SatSub(balance, network_.arc(a).flow);
+    }
+    if (balance == kInfiniteCapacity || balance == -kInfiniteCapacity) {
+      return false;
     }
     balance_[static_cast<size_t>(v)] = balance;
   }
@@ -118,7 +125,10 @@ bool IncrementalMinCut::RepairFlow() {
       balance_[static_cast<size_t>(v)] += amount;
       CapUnits& downstream = balance_[static_cast<size_t>(arc.to)];
       const bool was_deficit = downstream < 0;
-      downstream -= amount;
+      downstream = SatSub(downstream, amount);
+      if (downstream == -kInfiniteCapacity) {
+        return false;  // Saturated, as above.
+      }
       if (!was_deficit && downstream < 0 && arc.to != source_ && arc.to != sink_) {
         deficit_queue_.push_back(arc.to);
       }

@@ -28,9 +28,18 @@
 // cold solves return identical partitions, not just equal values.
 //
 // Safety valve: if the retained flow has saturated (any |flow| at the
-// sentinel — possible only on sentinel-capacity graphs) or the previous
-// solve was infeasible, delta repair is unsound and the session silently
-// falls back to a cold solve. Exactness over speed.
+// sentinel, or a node's flows summing to it — possible only on
+// sentinel-capacity graphs) or the previous solve was infeasible, delta
+// repair is unsound and the session silently falls back to a cold solve.
+// Exactness over speed. The valve is also why sentinel arcs defeat warm
+// starts: push-relabel opens by pushing the sentinel itself down every
+// sentinel arc out of the source, and where two such pushes meet (two
+// pinned nodes joined by a constraint edge) the excess saturates and
+// absorbs units, so a source arc is left carrying exactly the sentinel
+// after every solve and every later repair is declined. The analysis
+// engine therefore contracts its constraint edges away before a session
+// sees the network (see src/analysis/engine.h); sentinel graphs stay
+// correct here, only cold.
 
 #ifndef COIGN_SRC_MINCUT_INCREMENTAL_H_
 #define COIGN_SRC_MINCUT_INCREMENTAL_H_

@@ -136,8 +136,8 @@ class RepartitionPolicy {
       const std::unordered_map<ClassificationId, uint64_t>& live_instances) const;
 
   // Cumulative min-cut work across this policy's evaluations: the session
-  // warm-starts each epoch's cut from the previous epoch's flow (and
-  // short-circuits entirely when the windowed graph is unchanged). The
+  // warm-starts each epoch's cut from the previous epoch's flow whenever
+  // the window's contracted network keeps its topology. The
   // repartitioner samples these into the mincut.* metrics counters.
   const MinCutSolveStats& cut_stats() const { return cut_session_.stats(); }
 

@@ -190,14 +190,45 @@ TEST(AnalysisEngineTest, SessionWarmStartsAreInvisibleInResults) {
     EXPECT_EQ(warm->cut_edges.size(), cold->cut_edges.size());
     previous_hits = session.stats().warm_start_hits;
   }
-  // The third window is byte-identical to the first... but arrives after
+  // The third window is byte-identical to the first but arrives after
   // window B changed the capacities, so it warm-starts through the delta
-  // path rather than the full-fingerprint short-circuit. Re-analyzing it
-  // unchanged must take the short-circuit.
+  // path. Re-analyzing it unchanged stages no delta at all and must still
+  // count as a warm start.
   Result<AnalysisResult> repeat = engine.Analyze(windows[2], FastNetwork(), &session);
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(session.stats().warm_start_hits, previous_hits + 1);
   EXPECT_GT(session.stats().pushes, 0u);
+}
+
+TEST(AnalysisEngineTest, PinnedProfilesWarmStartAcrossNetworks) {
+  // Two GUI-pinned classifications joined by a non-remotable pair: three
+  // sentinel edges in the concrete graph. On that graph the excess pushed
+  // down both pins saturates where they meet and leaves a source arc at
+  // exactly the sentinel, so a session would decline every warm start.
+  // On the contracted network the second network must resume warm.
+  IccProfile profile = WorkerProfile(5000, 5200);
+  AddClassification(&profile, 3, "Palette", kApiGui, 3);
+  profile.RecordCall(MakeKey(0, 3), 256, 64, /*remotable=*/false);
+  profile.RecordCall(MakeKey(3, 2), 9000, 64, true);
+  NetworkProfile slow = FastNetwork();
+  slow.per_message_seconds = 0.5;
+
+  ProfileAnalysisEngine engine;
+  Result<CompiledProfile> compiled = engine.Compile(profile);
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(compiled->network().node_count(), 3);  // Client+Gui+Palette, Store, Worker.
+  MinCutSession session;
+  ASSERT_TRUE(engine.Analyze(*compiled, FastNetwork(), &session).ok());
+  EXPECT_EQ(session.stats().warm_start_hits, 0u);
+  Result<AnalysisResult> warm = engine.Analyze(*compiled, slow, &session);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(session.stats().warm_start_hits, 1u);
+
+  Result<AnalysisResult> cold = engine.Analyze(profile, slow);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(warm->cut_value_units, cold->cut_value_units);
+  EXPECT_EQ(warm->distribution.placement, cold->distribution.placement);
+  EXPECT_EQ(warm->non_remotable_pairs, 1u);
 }
 
 TEST(PredictionTest, CommunicationOnlyCountsCrossMachinePairs) {

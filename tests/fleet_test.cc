@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/analysis/prediction.h"
 #include "src/com/class_registry.h"
 #include "src/fleet/cohort.h"
 #include "src/fleet/fingerprint.h"
@@ -489,6 +491,83 @@ TEST(FleetServiceTest, SecondPassIsServedEntirelyFromCache) {
   Result<FleetPlanResult> third = service.Plan(other, fleet);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third->stats.cache_hits, 0u);
+}
+
+TEST(FleetServiceTest, CompiledPlanMatchesStandaloneAnalyses) {
+  // Plan compiles the profile once and prices it per cohort (and per
+  // client in the regret pass) on warm per-slot sessions. Every plan must
+  // equal a standalone Analyze at its cohort's center, and the regret
+  // pass must equal one recomputed from standalone per-client analyses.
+  IccProfile profile = TestProfile(5000, 60000);
+  ClassificationInfo helper;
+  helper.id = 3;
+  helper.clsid = Guid::FromName("clsid:Helper");
+  helper.class_name = "Helper";
+  helper.instance_count = 2;
+  profile.RecordClassification(helper);
+  CallKey worker_helper;
+  worker_helper.src = 1;
+  worker_helper.dst = 3;
+  worker_helper.iid = Guid::FromName("iid:IFleetTest");
+  profile.RecordCall(worker_helper, 300, 64, /*remotable=*/false);
+  CallKey helper_gui = worker_helper;
+  helper_gui.src = 3;
+  helper_gui.dst = 0;
+  profile.RecordCall(helper_gui, 40000, 64, true);
+
+  FleetPopulationOptions population;
+  population.client_count = 300;
+  population.lossy_fraction = 0.3;
+  const std::vector<FleetClient> fleet = GenerateFleet(population, 7);
+  FleetServiceOptions options;
+  options.worker_threads = 4;
+  options.compute_regret = true;
+  FleetPartitionService service(options);
+  Result<FleetPlanResult> planned = service.Plan(profile, fleet);
+  ASSERT_TRUE(planned.ok());
+
+  const ProfileAnalysisEngine engine;
+  std::set<MachineId> worker_sides;
+  for (const CohortPlan& plan : planned->plans) {
+    const NetworkProfile pricing = NetworkProfile::Exact(
+        InflateForLoss(plan.cohort.representative, plan.cohort.representative_drop));
+    Result<AnalysisResult> expected = engine.Analyze(profile, pricing);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(plan.analysis.cut_value_units, expected->cut_value_units);
+    EXPECT_EQ(plan.analysis.distribution.placement, expected->distribution.placement);
+    EXPECT_EQ(plan.analysis.predicted_comm_seconds, expected->predicted_comm_seconds);
+    EXPECT_EQ(plan.analysis.total_comm_seconds, expected->total_comm_seconds);
+    EXPECT_EQ(plan.analysis.cut_edges.size(), expected->cut_edges.size());
+    worker_sides.insert(plan.analysis.distribution.MachineFor(1));
+  }
+  EXPECT_EQ(worker_sides.size(), 2u) << "the fleet should straddle a plan flip";
+
+  std::vector<double> regrets;
+  double cohort_sum = 0.0;
+  double optimal_sum = 0.0;
+  double mean = 0.0;
+  for (const FleetClient& client : fleet) {
+    const NetworkProfile exact =
+        NetworkProfile::Exact(InflateForLoss(client.network, client.fault_rates.drop));
+    Result<AnalysisResult> optimal = engine.Analyze(profile, exact);
+    ASSERT_TRUE(optimal.ok());
+    const double cohort_seconds =
+        PredictExecutionTime(
+            profile, planned->plans[planned->CohortIndexOf(client.id)].analysis.distribution,
+            exact)
+            .total_seconds();
+    const double optimal_seconds =
+        PredictExecutionTime(profile, optimal->distribution, exact).total_seconds();
+    cohort_sum += cohort_seconds;
+    optimal_sum += optimal_seconds;
+    regrets.push_back(optimal_seconds > 0.0 ? cohort_seconds / optimal_seconds - 1.0 : 0.0);
+    mean += regrets.back();
+  }
+  const double clients = static_cast<double>(fleet.size());
+  EXPECT_EQ(planned->regret.mean, mean / clients);
+  EXPECT_EQ(planned->regret.mean_cohort_seconds, cohort_sum / clients);
+  EXPECT_EQ(planned->regret.mean_optimal_seconds, optimal_sum / clients);
+  EXPECT_EQ(planned->regret.max, *std::max_element(regrets.begin(), regrets.end()));
 }
 
 TEST(FleetServiceTest, CohortRegretStaysSmall) {
