@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <numeric>
+#include <unordered_map>
 
+#include "src/fleet/thread_pool.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -69,22 +71,61 @@ NetworkModel InflateForLoss(NetworkModel network, double drop_rate) {
 }
 
 std::vector<Cohort> BuildCohorts(const std::vector<FleetClient>& fleet,
-                                 const CohortingOptions& options) {
-  // std::map keeps cohorts in grid order without a separate sort; fleets
-  // occupy at most a few hundred buckets.
-  std::map<CohortKey, std::vector<uint32_t>> buckets;
-  for (const FleetClient& client : fleet) {
-    buckets[BucketOf(client, options)].push_back(client.id);
+                                 const CohortingOptions& options, WorkerPool* pool) {
+  // The per-client logarithms are the bulk of the work; they run in
+  // fixed-size chunks, each writing only its own range of `keys` and
+  // `ids`. A one-thread pool runs the chunks inline. The ids are copied
+  // out here so the serial passes below stream two small arrays instead
+  // of striding through the fleet.
+  WorkerPool inline_pool(1);
+  WorkerPool& runner = pool != nullptr ? *pool : inline_pool;
+  std::vector<CohortKey> keys(fleet.size());
+  std::vector<uint32_t> ids(fleet.size());
+  runner.ParallelFor((fleet.size() + kCohortingChunk - 1) / kCohortingChunk,
+                     [&](size_t chunk) {
+                       const size_t end = std::min(fleet.size(), (chunk + 1) * kCohortingChunk);
+                       for (size_t i = chunk * kCohortingChunk; i < end; ++i) {
+                         keys[i] = BucketOf(fleet[i], options);
+                         ids[i] = fleet[i].id;
+                       }
+                     });
+
+  // Dense slots in first-seen order, counting members per slot. Fleets
+  // occupy a few hundred buckets, so the hash map stays small and hot.
+  std::unordered_map<CohortKey, uint32_t, CohortKeyHash> slot_of;
+  std::vector<CohortKey> slot_keys;
+  std::vector<uint32_t> slot_sizes;
+  std::vector<uint32_t> client_slot(fleet.size());
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    const auto [it, inserted] =
+        slot_of.try_emplace(keys[i], static_cast<uint32_t>(slot_keys.size()));
+    if (inserted) {
+      slot_keys.push_back(keys[i]);
+      slot_sizes.push_back(0);
+    }
+    client_slot[i] = it->second;
+    ++slot_sizes[it->second];
   }
-  std::vector<Cohort> cohorts;
-  cohorts.reserve(buckets.size());
-  for (auto& [key, members] : buckets) {
-    Cohort cohort;
-    cohort.key = key;
-    cohort.representative = BucketCenter(key, options);
-    cohort.representative_drop = BucketDropCenter(key.loss_bucket, options);
-    cohort.members = std::move(members);
-    cohorts.push_back(std::move(cohort));
+
+  // One sort of the occupied keys puts the cohorts in grid order.
+  std::vector<uint32_t> order(slot_keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return slot_keys[a] < slot_keys[b]; });
+  std::vector<Cohort> cohorts(order.size());
+  std::vector<std::vector<uint32_t>*> slot_members(order.size());
+  for (size_t rank = 0; rank < order.size(); ++rank) {
+    const uint32_t slot = order[rank];
+    Cohort& cohort = cohorts[rank];
+    cohort.key = slot_keys[slot];
+    cohort.representative = BucketCenter(cohort.key, options);
+    cohort.representative_drop = BucketDropCenter(cohort.key.loss_bucket, options);
+    cohort.members.reserve(slot_sizes[slot]);
+    slot_members[slot] = &cohort.members;
+  }
+  // Scattering in fleet order keeps every member list in fleet order.
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    slot_members[client_slot[i]]->push_back(ids[i]);
   }
   return cohorts;
 }

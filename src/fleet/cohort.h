@@ -16,6 +16,7 @@
 #ifndef COIGN_SRC_FLEET_COHORT_H_
 #define COIGN_SRC_FLEET_COHORT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "src/sim/fleet_population.h"
 
 namespace coign {
+
+class WorkerPool;
 
 struct CohortingOptions {
   // Bucket granularity on each log10 axis. Finer buckets mean lower
@@ -96,9 +99,18 @@ double BucketDropCenter(int32_t loss_bucket, const CohortingOptions& options);
 // latency inflates by that factor, effective bandwidth deflates by it.
 NetworkModel InflateForLoss(NetworkModel network, double drop_rate);
 
-// Groups the fleet into occupied buckets, sorted by CohortKey grid order.
+// Clients per BuildCohorts keying task.
+inline constexpr size_t kCohortingChunk = 4096;
+
+// Groups the fleet into occupied buckets, sorted by CohortKey grid order,
+// each cohort's members in fleet order. One flat pass: every client's key
+// is computed in kCohortingChunk-sized tasks (across `pool` when given,
+// inline otherwise), the keys are grouped through a hash map into dense
+// slots, and the member ids are scattered into vectors reserved to their
+// exact size. The result does not depend on the pool or its size.
 std::vector<Cohort> BuildCohorts(const std::vector<FleetClient>& fleet,
-                                 const CohortingOptions& options);
+                                 const CohortingOptions& options,
+                                 WorkerPool* pool = nullptr);
 
 }  // namespace coign
 

@@ -58,12 +58,12 @@ std::string PlanCacheStats::ToString() const {
   return out;
 }
 
-std::optional<AnalysisResult> PlanCache::Lookup(const PlanCacheKey& key) {
+std::shared_ptr<const AnalysisResult> PlanCache::Lookup(const PlanCacheKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    return std::nullopt;
+    return nullptr;
   }
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // Refresh to most recent.
@@ -74,14 +74,15 @@ void PlanCache::Insert(const PlanCacheKey& key, AnalysisResult plan) {
   if (capacity_ == 0) {
     return;
   }
+  auto shared = std::make_shared<const AnalysisResult>(std::move(plan));
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->plan = std::move(plan);
+    it->second->plan = std::move(shared);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, std::move(plan)});
+  lru_.push_front(Entry{key, std::move(shared)});
   index_[key] = lru_.begin();
   ++stats_.insertions;
   while (lru_.size() > capacity_) {
@@ -118,7 +119,7 @@ std::string PlanCache::Serialize() const {
   // exact LRU sequence (the last line loaded ends up most recent).
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
     const Entry& entry = *it;
-    const AnalysisResult& plan = entry.plan;
+    const AnalysisResult& plan = *entry.plan;
     // Placement sorted by classification id: the plan map is unordered,
     // the snapshot must not be.
     std::vector<std::pair<ClassificationId, MachineId>> placement(
@@ -160,7 +161,7 @@ Status PlanCache::ParseRecord(std::istream& in, Entry* entry) {
     return InvalidArgumentError("plan cache: bad entry line");
   }
   entry->key.profile_fingerprint = static_cast<uint64_t>(fingerprint);
-  AnalysisResult& plan = entry->plan;
+  AnalysisResult plan;
   std::string predicted_hex, total_hex;
   unsigned long long client_instances = 0, server_instances = 0;
   size_t placements = 0, edges = 0;
@@ -193,6 +194,7 @@ Status PlanCache::ParseRecord(std::istream& in, Entry* entry) {
     }
     plan.cut_edges.push_back(edge);
   }
+  entry->plan = std::make_shared<const AnalysisResult>(std::move(plan));
   return Status::Ok();
 }
 

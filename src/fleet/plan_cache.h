@@ -7,6 +7,12 @@
 // occupied. LRU eviction bounds memory on long-running services facing
 // many profiles; hit/miss counters feed the fleet reports.
 //
+// Entries are shared and read-only: a hit hands out a handle to the
+// cached plan rather than a copy of it, so a probe costs a hash lookup
+// whatever the plan's size, and callers make their own copies wherever
+// they like (the fleet service makes them on its workers). A handle keeps
+// its plan alive after the entry is evicted or replaced.
+//
 // Thread safety: all operations lock an internal mutex, so the cache may
 // be probed from any thread. The fleet service nevertheless performs all
 // lookups and insertions on its coordinator thread in cohort grid order so
@@ -19,8 +25,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -71,11 +77,12 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  // Returns a copy of the cached plan and refreshes its LRU position.
-  std::optional<AnalysisResult> Lookup(const PlanCacheKey& key);
+  // Returns a handle to the cached plan (null on a miss) and refreshes its
+  // LRU position.
+  std::shared_ptr<const AnalysisResult> Lookup(const PlanCacheKey& key);
 
-  // Inserts (or refreshes) a plan, evicting least-recently-used entries
-  // beyond capacity.
+  // Inserts (or replaces) a plan, taking ownership of it, and evicts
+  // least-recently-used entries beyond capacity.
   void Insert(const PlanCacheKey& key, AnalysisResult plan);
 
   size_t size() const;
@@ -112,7 +119,7 @@ class PlanCache {
  private:
   struct Entry {
     PlanCacheKey key;
-    AnalysisResult plan;
+    std::shared_ptr<const AnalysisResult> plan;
   };
 
   // Parses one record (entry/plan/place/edge lines) from `in`.

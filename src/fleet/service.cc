@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -47,7 +48,7 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
   }
 
   const uint64_t fingerprint = ProfileFingerprint(profile);
-  std::vector<Cohort> cohorts = BuildCohorts(fleet, options_.cohorting);
+  std::vector<Cohort> cohorts = BuildCohorts(fleet, options_.cohorting, &pool_);
 
   FleetPlanResult result;
   result.stats.clients = fleet.size();
@@ -56,15 +57,16 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
 
   // Cache probes run here on the coordinator, in grid order, so LRU
   // traffic (and with it eviction and the hit/miss counters) does not
-  // depend on worker scheduling.
+  // depend on worker scheduling. A hit is only a handle: the copy into
+  // the result is made on the workers below, and the handle keeps the
+  // plan alive even if an insert further down evicts its entry.
+  std::vector<std::shared_ptr<const AnalysisResult>> cached(cohorts.size());
   std::vector<size_t> misses;
   for (size_t i = 0; i < cohorts.size(); ++i) {
     CohortPlan& plan = result.plans[i];
     plan.cohort = std::move(cohorts[i]);
-    std::optional<AnalysisResult> cached =
-        cache_.Lookup(PlanCacheKey{fingerprint, plan.cohort.key});
-    if (cached.has_value()) {
-      plan.analysis = *std::move(cached);
+    cached[i] = cache_.Lookup(PlanCacheKey{fingerprint, plan.cohort.key});
+    if (cached[i] != nullptr) {
       plan.from_cache = true;
       ++result.stats.cache_hits;
     } else {
@@ -83,11 +85,19 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
     compiled.emplace(*std::move(compiling));
   }
 
-  // Analyze the missing cohorts across the pool; each task writes only its
-  // own slot. Errors are collected per slot and reported in index order.
-  std::vector<Status> task_status(misses.size());
-  pool_.ParallelFor(misses.size(), [&](size_t task_index) {
-    CohortPlan& plan = result.plans[misses[task_index]];
+  // One task per cohort; each writes only its own slots. A hit copies the
+  // cached plan out; a miss analyzes the cohort into its plan and, when
+  // the cache keeps plans at all, copies it for the cache. Errors are
+  // collected per slot and reported in index order.
+  const bool caching = cache_.capacity() > 0;
+  std::vector<AnalysisResult> for_cache(caching ? cohorts.size() : 0);
+  std::vector<Status> task_status(cohorts.size());
+  pool_.ParallelFor(result.plans.size(), [&](size_t i) {
+    CohortPlan& plan = result.plans[i];
+    if (cached[i] != nullptr) {
+      plan.analysis = *cached[i];
+      return;
+    }
     // Lossy cohorts price their cut on the loss-inflated representative:
     // expected retransmissions make every message slower, which pushes the
     // min cut toward fewer, larger crossings than the clean bucket's plan.
@@ -99,8 +109,11 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
         *compiled, pricing, &cut_sessions_[static_cast<size_t>(WorkerPool::CurrentSlot())]);
     if (analyzed.ok()) {
       plan.analysis = *std::move(analyzed);
+      if (caching) {
+        for_cache[i] = plan.analysis;
+      }
     } else {
-      task_status[task_index] = analyzed.status();
+      task_status[i] = analyzed.status();
     }
   });
   for (const Status& status : task_status) {
@@ -110,10 +123,13 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
   }
   result.stats.plans_computed = misses.size();
 
-  // Insertions, like probes, stay on the coordinator in grid order.
-  for (size_t miss : misses) {
-    const CohortPlan& plan = result.plans[miss];
-    cache_.Insert(PlanCacheKey{fingerprint, plan.cohort.key}, plan.analysis);
+  // Insertions, like probes, stay on the coordinator in grid order; each
+  // moves its copy in, so the coordinator copies nothing.
+  if (caching) {
+    for (size_t miss : misses) {
+      cache_.Insert(PlanCacheKey{fingerprint, result.plans[miss].cohort.key},
+                    std::move(for_cache[miss]));
+    }
   }
 
   if (options_.obs != nullptr) {

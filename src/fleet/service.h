@@ -3,17 +3,26 @@
 //
 // Pipeline per Plan() call:
 //   1. fingerprint the profile (cache namespace);
-//   2. cohort the fleet by log-bucketed network parameters (cohort.h);
+//   2. cohort the fleet by log-bucketed network parameters (cohort.h),
+//      keying the clients across the worker pool;
 //   3. probe the plan cache per cohort, coordinator-side, in grid order
-//      (deterministic LRU traffic);
+//      (deterministic LRU traffic); a hit is a handle to a shared
+//      read-only plan, not a copy;
 //   4. compile the profile once (only if a cohort missed or regret is
-//      on), then compute the missing cohort plans — analysis-engine cuts
-//      of that one compiled profile priced at each bucket's geometric
-//      center — across the worker pool;
-//   5. insert the new plans, again in grid order;
+//      on); then, across the worker pool, copy each hit's plan into its
+//      result slot and compute each missing cohort plan — an
+//      analysis-engine cut of that one compiled profile priced at the
+//      bucket's geometric center;
+//   5. insert the new plans, again in grid order on the coordinator,
+//      moving in the copies the workers made;
 //   6. optionally compute per-client execution-time regret against each
 //      client's individually optimal cut (the expensive per-client path
 //      the cohorting amortizes away — also run through the pool).
+//
+// The coordinator keeps the ordered work (cache probes, cache inserts,
+// reductions) and the cheap per-client bookkeeping (grouping clients
+// into cohorts, the client -> cohort index); the per-client bucket keys
+// and every per-plan copy run on the pool.
 //
 // Determinism: every number in FleetPlanResult is a pure function of
 // (profile, fleet, options, prior cache state). Workers only fill

@@ -35,7 +35,11 @@ Status ParseHistogramFields(std::istringstream& in, ExponentialHistogram* h) {
     }
     h->AddBucket(bucket, count, bytes);
   }
-  return Status::Ok();
+  return InvalidArgumentError("unterminated histogram fields");
+}
+
+Status Malformed(const std::string& line) {
+  return InvalidArgumentError("malformed profile line: " + line);
 }
 
 }  // namespace
@@ -87,6 +91,9 @@ Result<IccProfile> ParseProfile(const std::string& text) {
       std::string guid_text;
       unsigned long long count = 0;
       in >> info.id >> guid_text >> info.api_usage >> count;
+      if (in.fail()) {
+        return Malformed(line);
+      }
       info.instance_count = count;
       std::getline(in, info.class_name);
       if (!info.class_name.empty() && info.class_name.front() == ' ') {
@@ -102,17 +109,26 @@ Result<IccProfile> ParseProfile(const std::string& text) {
       ClassificationId id = kNoClassification;
       unsigned long long bytes = 0;
       in >> id >> bytes;
+      if (!FieldsConsumed(in)) {
+        return Malformed(line);
+      }
       profile.RecordAllocation(id, bytes);
     } else if (keyword == "compute") {
       ClassificationId id = kNoClassification;
       double seconds = 0.0;
       in >> id >> seconds;
+      if (!FieldsConsumed(in)) {
+        return Malformed(line);
+      }
       profile.RecordCompute(id, seconds);
     } else if (keyword == "call") {
       CallKey key;
       std::string guid_text, marker;
       unsigned long long non_remotable = 0;
       in >> key.src >> key.dst >> guid_text >> key.method >> non_remotable;
+      if (in.fail()) {
+        return Malformed(line);
+      }
       Result<Guid> iid = Guid::Parse(guid_text);
       if (!iid.ok()) {
         return iid.status();
@@ -129,6 +145,9 @@ Result<IccProfile> ParseProfile(const std::string& text) {
         return InvalidArgumentError("expected 'rep' marker");
       }
       COIGN_RETURN_IF_ERROR(ParseHistogramFields(in, &replies));
+      if (!FieldsConsumed(in)) {
+        return Malformed(line);
+      }
       profile.InjectCallSummary(key, requests, replies, non_remotable);
     } else {
       return InvalidArgumentError("unknown profile keyword: " + keyword);

@@ -29,6 +29,10 @@ Result<ClassifierKind> ClassifierKindFromIndex(int index) {
   return kinds[static_cast<size_t>(index)];
 }
 
+Status Malformed(const std::string& line) {
+  return InvalidArgumentError("malformed config line: " + line);
+}
+
 int ClassifierKindIndex(ClassifierKind kind) {
   const auto& kinds = AllClassifierKinds();
   for (size_t i = 0; i < kinds.size(); ++i) {
@@ -78,10 +82,16 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) 
     if (keyword == "mode") {
       int mode = 0;
       fields >> mode;
+      if (!FieldsConsumed(fields) || (mode != 0 && mode != 1)) {
+        return Malformed(line);
+      }
       record.mode = mode == 0 ? RuntimeMode::kProfiling : RuntimeMode::kDistributed;
     } else if (keyword == "classifier") {
       int kind_index = 0;
       fields >> kind_index >> record.classifier_depth;
+      if (!FieldsConsumed(fields)) {
+        return Malformed(line);
+      }
       Result<ClassifierKind> kind = ClassifierKindFromIndex(kind_index);
       if (!kind.ok()) {
         return kind.status();
@@ -89,10 +99,16 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) 
       record.classifier_kind = *kind;
     } else if (keyword == "default-machine") {
       fields >> record.distribution.default_machine;
+      if (!FieldsConsumed(fields)) {
+        return Malformed(line);
+      }
     } else if (keyword == "place") {
       ClassificationId id = kNoClassification;
       MachineId machine = kClientMachine;
       fields >> id >> machine;
+      if (!FieldsConsumed(fields)) {
+        return Malformed(line);
+      }
       record.distribution.placement[id] = machine;
     } else if (keyword == "desc") {
       Descriptor descriptor;
@@ -119,10 +135,16 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) 
         token.b = b;
         descriptor.tokens.push_back(token);
       }
+      if (!FieldsConsumed(fields)) {
+        return Malformed(line);
+      }
       record.classifier_table.push_back(std::move(descriptor));
     } else if (keyword == "profile") {
       size_t length = 0;
       fields >> length;
+      if (!FieldsConsumed(fields)) {
+        return Malformed(line);
+      }
       std::string rest((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
       if (rest.size() < length) {
         return InvalidArgumentError("truncated profile payload in config record");

@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <istream>
 
 namespace coign {
 
@@ -84,6 +85,14 @@ bool ParseFixedHex(std::string_view hex, size_t digits, uint64_t* out) {
   }
   *out = bits;
   return true;
+}
+
+bool FieldsConsumed(std::istream& fields) {
+  if (fields.fail()) {
+    return false;
+  }
+  std::string extra;
+  return !(fields >> extra);
 }
 
 }  // namespace coign

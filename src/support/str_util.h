@@ -4,6 +4,7 @@
 #define COIGN_SRC_SUPPORT_STR_UTIL_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,10 @@ std::string FormatBytes(uint64_t bytes);
 // the checksummed storage formats write. False on any other length or
 // character.
 bool ParseFixedHex(std::string_view hex, size_t digits, uint64_t* out);
+
+// True when every extraction from `fields` succeeded and only whitespace
+// remains: a text record line carried exactly the fields it should.
+bool FieldsConsumed(std::istream& fields);
 
 }  // namespace coign
 

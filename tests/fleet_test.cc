@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +17,8 @@
 #include "src/fleet/service.h"
 #include "src/fleet/thread_pool.h"
 #include "src/sim/fleet_population.h"
+#include "src/support/rng.h"
+#include "src/support/str_util.h"
 
 namespace coign {
 namespace {
@@ -95,6 +100,122 @@ TEST(CohortTest, BuildCohortsPartitionsTheFleetInGridOrder) {
     }
   }
   EXPECT_EQ(seen.size(), fleet.size());
+}
+
+// The grouping BuildCohorts must reproduce: a std::map from key to
+// members, which iterates in grid order and appends in fleet order.
+std::vector<Cohort> ReferenceCohorts(const std::vector<FleetClient>& fleet,
+                                     const CohortingOptions& options) {
+  std::map<CohortKey, std::vector<uint32_t>> buckets;
+  for (const FleetClient& client : fleet) {
+    buckets[BucketOf(client, options)].push_back(client.id);
+  }
+  std::vector<Cohort> cohorts;
+  for (auto& [key, members] : buckets) {
+    Cohort cohort;
+    cohort.key = key;
+    cohort.representative = BucketCenter(key, options);
+    cohort.representative_drop = BucketDropCenter(key.loss_bucket, options);
+    cohort.members = std::move(members);
+    cohorts.push_back(std::move(cohort));
+  }
+  return cohorts;
+}
+
+void ExpectSameCohorts(const std::vector<Cohort>& actual, const std::vector<Cohort>& expected,
+                       const std::string& context) {
+  ASSERT_EQ(actual.size(), expected.size()) << context;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].key, expected[i].key) << context << " cohort " << i;
+    EXPECT_EQ(actual[i].representative.name, expected[i].representative.name) << context;
+    EXPECT_EQ(actual[i].representative.per_message_seconds,
+              expected[i].representative.per_message_seconds)
+        << context;
+    EXPECT_EQ(actual[i].representative.bytes_per_second,
+              expected[i].representative.bytes_per_second)
+        << context;
+    EXPECT_EQ(actual[i].representative.jitter_fraction,
+              expected[i].representative.jitter_fraction)
+        << context;
+    EXPECT_EQ(actual[i].representative_drop, expected[i].representative_drop) << context;
+    EXPECT_EQ(actual[i].members, expected[i].members) << context << " cohort " << i;
+  }
+}
+
+// A seeded fleet mixing log-uniform links with links exactly on the
+// 10^(k/8) bucket edges, and clean clients with lossy ones — some at
+// exactly the clean threshold, some on a loss-bucket edge.
+std::vector<FleetClient> EdgeFleet(size_t clients, uint64_t seed,
+                                   const CohortingOptions& options) {
+  Rng rng(seed);
+  std::vector<FleetClient> fleet(clients);
+  for (size_t i = 0; i < clients; ++i) {
+    FleetClient& client = fleet[i];
+    client.id = static_cast<uint32_t>(i);
+    if (rng.Bernoulli(0.5)) {
+      client.network.per_message_seconds = std::pow(10.0, rng.UniformDouble(-5.0, -1.0));
+      client.network.bytes_per_second = std::pow(10.0, rng.UniformDouble(3.0, 9.0));
+    } else {
+      client.network.per_message_seconds = std::pow(
+          10.0, static_cast<double>(rng.UniformInt(-40, -8)) /
+                    options.latency_buckets_per_decade);
+      client.network.bytes_per_second = std::pow(
+          10.0, static_cast<double>(rng.UniformInt(24, 72)) /
+                    options.bandwidth_buckets_per_decade);
+    }
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+        client.fault_rates.drop = options.clean_drop_threshold;
+        break;
+      case 1:
+        client.fault_rates.drop = std::pow(10.0, rng.UniformDouble(-4.0, -0.5));
+        break;
+      case 2:
+        client.fault_rates.drop = std::pow(
+            10.0, static_cast<double>(rng.UniformInt(-6, -1)) /
+                      options.loss_buckets_per_decade);
+        break;
+      default:
+        break;  // Clean.
+    }
+  }
+  return fleet;
+}
+
+TEST(CohortTest, BuildCohortsMatchesTheMapGroupingOnAnyPool) {
+  const CohortingOptions options;
+  std::vector<std::unique_ptr<WorkerPool>> pools;
+  for (const int threads : {2, 4, 8}) {
+    pools.push_back(std::make_unique<WorkerPool>(threads));
+  }
+  const size_t sizes[] = {1, 2, 17, kCohortingChunk - 1, kCohortingChunk,
+                          kCohortingChunk + 1, 3 * kCohortingChunk + 7};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const size_t clients : sizes) {
+      const std::vector<FleetClient> fleet = EdgeFleet(clients, seed, options);
+      const std::vector<Cohort> expected = ReferenceCohorts(fleet, options);
+      const std::string context = StrFormat("seed %llu, %zu clients",
+                                            static_cast<unsigned long long>(seed), clients);
+      ExpectSameCohorts(BuildCohorts(fleet, options), expected, context + ", no pool");
+      for (const auto& pool : pools) {
+        ExpectSameCohorts(BuildCohorts(fleet, options, pool.get()), expected,
+                          context + StrFormat(", %d-thread pool", pool->slot_count()));
+      }
+    }
+  }
+  // A generated lossy fleet, and coarser grids that pack many clients
+  // into few buckets.
+  FleetPopulationOptions population;
+  population.client_count = 5000;
+  population.lossy_fraction = 0.3;
+  const std::vector<FleetClient> generated = GenerateFleet(population, 11);
+  CohortingOptions coarse;
+  coarse.latency_buckets_per_decade = 1.0;
+  coarse.bandwidth_buckets_per_decade = 0.5;
+  for (const CohortingOptions& grid : {options, coarse}) {
+    ExpectSameCohorts(BuildCohorts(generated, grid, pools.back().get()),
+                      ReferenceCohorts(generated, grid), "generated fleet");
+  }
 }
 
 TEST(CohortTest, LossyClientsBucketApartFromCleanOnes) {
@@ -193,14 +314,14 @@ TEST(PlanCacheTest, CountsHitsAndMissesAndEvictsLru) {
     return PlanCacheKey{1, CohortKey{bucket, 0}};
   };
 
-  EXPECT_FALSE(cache.Lookup(key(0)).has_value());
+  EXPECT_EQ(cache.Lookup(key(0)), nullptr);
   cache.Insert(key(0), plan);
   cache.Insert(key(1), plan);
-  EXPECT_TRUE(cache.Lookup(key(0)).has_value());  // Refreshes 0 over 1.
+  EXPECT_NE(cache.Lookup(key(0)), nullptr);  // Refreshes 0 over 1.
   cache.Insert(key(2), plan);                     // Evicts 1, the LRU.
-  EXPECT_TRUE(cache.Lookup(key(0)).has_value());
-  EXPECT_FALSE(cache.Lookup(key(1)).has_value());
-  EXPECT_TRUE(cache.Lookup(key(2)).has_value());
+  EXPECT_NE(cache.Lookup(key(0)), nullptr);
+  EXPECT_EQ(cache.Lookup(key(1)), nullptr);
+  EXPECT_NE(cache.Lookup(key(2)), nullptr);
 
   const PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 3u);
@@ -214,15 +335,33 @@ TEST(PlanCacheTest, DistinctProfilesDoNotCollide) {
   PlanCache cache(8);
   AnalysisResult plan;
   cache.Insert(PlanCacheKey{1, CohortKey{0, 0}}, plan);
-  EXPECT_FALSE(cache.Lookup(PlanCacheKey{2, CohortKey{0, 0}}).has_value());
+  EXPECT_EQ(cache.Lookup(PlanCacheKey{2, CohortKey{0, 0}}), nullptr);
 }
 
 TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
   PlanCache cache(0);
   AnalysisResult plan;
   cache.Insert(PlanCacheKey{1, CohortKey{0, 0}}, plan);
-  EXPECT_FALSE(cache.Lookup(PlanCacheKey{1, CohortKey{0, 0}}).has_value());
+  EXPECT_EQ(cache.Lookup(PlanCacheKey{1, CohortKey{0, 0}}), nullptr);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PlanCacheTest, HandlesOutliveEvictionAndReplacement) {
+  PlanCache cache(1);
+  AnalysisResult first;
+  first.predicted_comm_seconds = 1.0;
+  first.distribution.placement[7] = kServerMachine;
+  cache.Insert(PlanCacheKey{1, CohortKey{0, 0}}, first);
+  const std::shared_ptr<const AnalysisResult> held = cache.Lookup(PlanCacheKey{1, CohortKey{0, 0}});
+  ASSERT_NE(held, nullptr);
+
+  AnalysisResult second;
+  second.predicted_comm_seconds = 2.0;
+  cache.Insert(PlanCacheKey{1, CohortKey{0, 0}}, second);  // Replaces.
+  cache.Insert(PlanCacheKey{1, CohortKey{1, 0}}, second);  // Evicts.
+  EXPECT_EQ(cache.Lookup(PlanCacheKey{1, CohortKey{0, 0}}), nullptr);
+  EXPECT_EQ(held->predicted_comm_seconds, 1.0);
+  EXPECT_EQ(held->distribution.placement, first.distribution.placement);
 }
 
 // A plan with every serialized field populated, so the round-trip tests
@@ -263,7 +402,7 @@ TEST(PlanCacheTest, SerializeLoadRoundTripsByteExactly) {
   EXPECT_EQ(reloaded.Serialize(), snapshot);
 
   const auto hit = reloaded.Lookup(PlanCacheKey{11, CohortKey{2, 3}});
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->predicted_comm_seconds, 1.0 / 3.0);
   EXPECT_EQ(hit->distribution.placement.at(2), kServerMachine);
   ASSERT_EQ(hit->cut_edges.size(), 1u);
@@ -282,9 +421,9 @@ TEST(PlanCacheTest, LoadPreservesLruOrderAcrossRestart) {
   PlanCache reloaded(2);
   ASSERT_TRUE(reloaded.Load(cache.Serialize()).ok());
   reloaded.Insert(key(2), SnapshotPlan(0.3));  // Must evict 1, not 0.
-  EXPECT_TRUE(reloaded.Lookup(key(0)).has_value());
-  EXPECT_FALSE(reloaded.Lookup(key(1)).has_value());
-  EXPECT_TRUE(reloaded.Lookup(key(2)).has_value());
+  EXPECT_NE(reloaded.Lookup(key(0)), nullptr);
+  EXPECT_EQ(reloaded.Lookup(key(1)), nullptr);
+  EXPECT_NE(reloaded.Lookup(key(2)), nullptr);
 }
 
 TEST(PlanCacheTest, LoadIntoSmallerCacheKeepsTheMostRecentEntries) {
@@ -299,9 +438,9 @@ TEST(PlanCacheTest, LoadIntoSmallerCacheKeepsTheMostRecentEntries) {
   PlanCache smaller(2);
   ASSERT_TRUE(smaller.Load(cache.Serialize()).ok());
   EXPECT_EQ(smaller.size(), 2u);
-  EXPECT_TRUE(smaller.Lookup(key(3)).has_value());
-  EXPECT_TRUE(smaller.Lookup(key(2)).has_value());
-  EXPECT_FALSE(smaller.Lookup(key(0)).has_value());
+  EXPECT_NE(smaller.Lookup(key(3)), nullptr);
+  EXPECT_NE(smaller.Lookup(key(2)), nullptr);
+  EXPECT_EQ(smaller.Lookup(key(0)), nullptr);
 }
 
 TEST(PlanCacheTest, LoadRejectsMalformedSnapshots) {
@@ -333,8 +472,8 @@ TEST(PlanCacheTest, V4DamageIsLocalizedToTheDamagedRecord) {
   ASSERT_TRUE(reloaded.Load(snapshot).ok());
   EXPECT_EQ(reloaded.size(), 2u);
   EXPECT_EQ(reloaded.stats().corrupt_skipped, 1u);
-  EXPECT_TRUE(reloaded.Lookup(PlanCacheKey{11, CohortKey{0, 1}}).has_value());
-  EXPECT_TRUE(reloaded.Lookup(PlanCacheKey{12, CohortKey{0, 1}}).has_value());
+  EXPECT_NE(reloaded.Lookup(PlanCacheKey{11, CohortKey{0, 1}}), nullptr);
+  EXPECT_NE(reloaded.Lookup(PlanCacheKey{12, CohortKey{0, 1}}), nullptr);
 
   // A truncated tail (torn write) drops the unfinished record without
   // counting it as corruption.
@@ -432,38 +571,126 @@ TEST(FleetServiceTest, EveryClientIsServedByItsOwnBucket) {
   }
 }
 
-TEST(FleetServiceTest, ParallelPlanningMatchesSerialBitForBit) {
-  const IccProfile profile = TestProfile();
-  const std::vector<FleetClient> fleet = TestFleet(200);
+// Every AnalysisResult field, by exact equality.
+void ExpectSameAnalysis(const AnalysisResult& actual, const AnalysisResult& expected,
+                        const std::string& context) {
+  EXPECT_EQ(actual.distribution.placement, expected.distribution.placement) << context;
+  EXPECT_EQ(actual.distribution.default_machine, expected.distribution.default_machine)
+      << context;
+  EXPECT_EQ(actual.cut_value_units, expected.cut_value_units) << context;
+  EXPECT_EQ(actual.predicted_comm_seconds, expected.predicted_comm_seconds) << context;
+  EXPECT_EQ(actual.total_comm_seconds, expected.total_comm_seconds) << context;
+  EXPECT_EQ(actual.client_classifications, expected.client_classifications) << context;
+  EXPECT_EQ(actual.server_classifications, expected.server_classifications) << context;
+  EXPECT_EQ(actual.client_instances, expected.client_instances) << context;
+  EXPECT_EQ(actual.server_instances, expected.server_instances) << context;
+  EXPECT_EQ(actual.non_remotable_pairs, expected.non_remotable_pairs) << context;
+  ASSERT_EQ(actual.cut_edges.size(), expected.cut_edges.size()) << context;
+  for (size_t e = 0; e < expected.cut_edges.size(); ++e) {
+    EXPECT_EQ(actual.cut_edges[e].client_side, expected.cut_edges[e].client_side) << context;
+    EXPECT_EQ(actual.cut_edges[e].server_side, expected.cut_edges[e].server_side) << context;
+    EXPECT_EQ(actual.cut_edges[e].seconds, expected.cut_edges[e].seconds) << context;
+  }
+}
 
-  const auto plan_with = [&](int threads) {
-    FleetServiceOptions options;
-    options.worker_threads = threads;
-    options.compute_regret = true;
-    FleetPartitionService service(options);
-    Result<FleetPlanResult> planned = service.Plan(profile, fleet);
-    EXPECT_TRUE(planned.ok());
-    return *planned;
-  };
-
-  const FleetPlanResult serial = plan_with(1);
-  const FleetPlanResult parallel = plan_with(8);
-  ASSERT_EQ(serial.plans.size(), parallel.plans.size());
-  for (size_t i = 0; i < serial.plans.size(); ++i) {
-    EXPECT_EQ(serial.plans[i].cohort.key, parallel.plans[i].cohort.key);
-    EXPECT_EQ(serial.plans[i].cohort.members, parallel.plans[i].cohort.members);
-    for (ClassificationId id = 0; id < 3; ++id) {
-      EXPECT_EQ(serial.plans[i].analysis.distribution.MachineFor(id),
-                parallel.plans[i].analysis.distribution.MachineFor(id));
-    }
-    EXPECT_EQ(serial.plans[i].analysis.predicted_comm_seconds,
-              parallel.plans[i].analysis.predicted_comm_seconds);
+void ExpectSamePlans(const FleetPlanResult& actual, const FleetPlanResult& expected,
+                     const std::string& context) {
+  ASSERT_EQ(actual.plans.size(), expected.plans.size()) << context;
+  for (size_t i = 0; i < expected.plans.size(); ++i) {
+    const std::string where = context + StrFormat(", cohort %zu", i);
+    EXPECT_EQ(actual.plans[i].cohort.key, expected.plans[i].cohort.key) << where;
+    EXPECT_EQ(actual.plans[i].cohort.members, expected.plans[i].cohort.members) << where;
+    ExpectSameAnalysis(actual.plans[i].analysis, expected.plans[i].analysis, where);
   }
   // Regret reductions run in index order on the coordinator, so even the
   // accumulated doubles are identical, not merely close.
-  EXPECT_EQ(serial.regret.mean, parallel.regret.mean);
-  EXPECT_EQ(serial.regret.p95, parallel.regret.p95);
-  EXPECT_EQ(serial.regret.max, parallel.regret.max);
+  EXPECT_EQ(actual.regret.mean, expected.regret.mean) << context;
+  EXPECT_EQ(actual.regret.p95, expected.regret.p95) << context;
+  EXPECT_EQ(actual.regret.max, expected.regret.max) << context;
+  EXPECT_EQ(actual.regret.mean_cohort_seconds, expected.regret.mean_cohort_seconds) << context;
+  EXPECT_EQ(actual.regret.mean_optimal_seconds, expected.regret.mean_optimal_seconds)
+      << context;
+}
+
+// A cold plan and two warm replans on one service.
+std::vector<FleetPlanResult> PlanThreeTimes(const IccProfile& profile,
+                                            const std::vector<FleetClient>& fleet,
+                                            int threads, size_t cache_capacity) {
+  FleetServiceOptions options;
+  options.worker_threads = threads;
+  options.cache_capacity = cache_capacity;
+  options.compute_regret = true;
+  FleetPartitionService service(options);
+  std::vector<FleetPlanResult> runs;
+  for (int run = 0; run < 3; ++run) {
+    Result<FleetPlanResult> planned = service.Plan(profile, fleet);
+    EXPECT_TRUE(planned.ok());
+    runs.push_back(*std::move(planned));
+  }
+  return runs;
+}
+
+TEST(FleetServiceTest, ParallelPlanningMatchesSerialBitForBit) {
+  const IccProfile profile = TestProfile();
+  FleetPopulationOptions population;
+  population.client_count = 200;
+  population.lossy_fraction = 0.3;
+  const std::vector<FleetClient> fleet = GenerateFleet(population, 42);
+
+  const std::vector<FleetPlanResult> serial = PlanThreeTimes(profile, fleet, 1, 1024);
+  const std::vector<FleetPlanResult> parallel = PlanThreeTimes(profile, fleet, 8, 1024);
+  ASSERT_GT(serial[0].plans.size(), 1u);
+  EXPECT_EQ(serial[1].stats.cache_hits, serial[1].stats.cohorts);
+  for (size_t run = 0; run < serial.size(); ++run) {
+    const std::string context = StrFormat("run %zu", run);
+    ExpectSamePlans(parallel[run], serial[run], context);
+    // Warm replans serve exactly what the cold plan computed.
+    ExpectSamePlans(serial[run], serial[0], context + " vs cold");
+  }
+}
+
+TEST(FleetServiceTest, CacheSmallerThanTheCohortsStillPlansBitForBit) {
+  // Inserts evict entries probed earlier in the same Plan; the handles
+  // the probes returned must keep those plans alive and intact.
+  const IccProfile profile = TestProfile();
+  const std::vector<FleetClient> fleet = TestFleet(200);
+  const std::vector<FleetPlanResult> reference = PlanThreeTimes(profile, fleet, 1, 1024);
+  const size_t cohorts = reference[0].plans.size();
+  ASSERT_GT(cohorts, 3u);
+  for (const int threads : {1, 8}) {
+    const std::vector<FleetPlanResult> small =
+        PlanThreeTimes(profile, fleet, threads, cohorts / 2);
+    for (size_t run = 0; run < small.size(); ++run) {
+      ExpectSamePlans(small[run], reference[run],
+                      StrFormat("%d threads, run %zu", threads, run));
+    }
+  }
+}
+
+TEST(FleetServiceTest, MutatingAReturnedPlanLeavesTheCacheIntact) {
+  const IccProfile profile = TestProfile();
+  const std::vector<FleetClient> fleet = TestFleet(120);
+  FleetServiceOptions options;
+  options.worker_threads = 4;
+  FleetPartitionService service(options);
+  Result<FleetPlanResult> cold = service.Plan(profile, fleet);
+  ASSERT_TRUE(cold.ok());
+  const FleetPlanResult pristine = *cold;
+
+  Result<FleetPlanResult> warm = service.Plan(profile, fleet);
+  ASSERT_TRUE(warm.ok());
+  for (FleetPlanResult* planned : {&*cold, &*warm}) {
+    for (CohortPlan& plan : planned->plans) {
+      plan.analysis.distribution.placement[1] = kServerMachine + 7;
+      plan.analysis.predicted_comm_seconds = -1.0;
+      plan.analysis.cut_edges.clear();
+    }
+  }
+
+  Result<FleetPlanResult> again = service.Plan(profile, fleet);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->stats.cache_hits, again->stats.cohorts);
+  ExpectSamePlans(*again, pristine, "after mutation");
 }
 
 TEST(FleetServiceTest, SecondPassIsServedEntirelyFromCache) {

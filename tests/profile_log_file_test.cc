@@ -75,6 +75,29 @@ TEST(LogFileTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseProfile("coign-profile v1\nbogus keyword here\n").ok());
 }
 
+TEST(LogFileTest, ParseRejectsMalformedLines) {
+  const std::string guid = Guid::FromName("iid:IView").ToString();
+  // Missing fields, non-numbers, trailing junk and unterminated histograms.
+  for (const std::string& line :
+       {std::string("compute 5 abc"), std::string("compute 5"), std::string("compute 5 1.0 x"),
+        std::string("alloc x"), std::string("alloc 1"), std::string("alloc 1 2 3"),
+        "classification x " + guid + " 0 1 Name", "classification 1 " + guid + " 0",
+        "call 0 1 " + guid + " 2", "call 0 1 " + guid + " 2 0 req 1:1:8 ; rep ; junk",
+        "call 0 1 " + guid + " 2 0 req 1:1:8 ; rep 1:1:8"}) {
+    const Result<IccProfile> parsed = ParseProfile("coign-profile v1\n" + line + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  // The same keywords, well formed, still parse.
+  const Result<IccProfile> parsed = ParseProfile(
+      "coign-profile v1\nclassification 1 " + guid + " 0 1 Two Words\nalloc 1 64\n" +
+      "compute 1 2.5e-01\ncall 0 1 " + guid + " 2 0 req 1:1:8 ; rep ;\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->FindClassification(1)->class_name, "Two Words");
+  EXPECT_EQ(parsed->total_calls(), 1u);
+  EXPECT_EQ(parsed->total_compute_seconds(), 0.25);
+}
+
 TEST(LogFileTest, FileRoundTripAndMerge) {
   const IccProfile profile = SampleProfile();
   const std::string path1 = "/tmp/coign_test_profile1.log";

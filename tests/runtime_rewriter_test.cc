@@ -50,6 +50,31 @@ TEST(ConfigRecordTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ConfigurationRecord::Parse("coign-config v1\nunknown x\n").ok());
 }
 
+TEST(ConfigRecordTest, ParseRejectsMalformedLines) {
+  // Each line is missing a field, carries a non-number, an out-of-range
+  // mode or trailing junk; none may parse to a default.
+  for (const char* line :
+       {"mode x", "mode 2", "mode -1", "mode 1 extra", "mode", "place 7", "place abc 1",
+        "place 7 1 junk", "default-machine z", "default-machine 1 2", "classifier 0",
+        "classifier 0 3 x", "profile x", "profile 0 0",
+        "desc {0000000000000000-0000000000000000} 1 1:2:3 junk"}) {
+    const Result<ConfigurationRecord> parsed =
+        ConfigurationRecord::Parse(std::string("coign-config v1\n") + line + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  // The same keywords, well formed, still parse.
+  const Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(
+      "coign-config v1\nmode 1\nclassifier 0 3\ndefault-machine 1\nplace 7 0\n"
+      "desc {0000000000000000-0000000000000000} 1 1:2:3\nprofile 0\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->mode, RuntimeMode::kDistributed);
+  EXPECT_EQ(parsed->distribution.default_machine, 1);
+  EXPECT_EQ(parsed->distribution.placement.at(7), 0);
+  ASSERT_EQ(parsed->classifier_table.size(), 1u);
+  EXPECT_EQ(parsed->classifier_table[0].tokens.size(), 1u);
+}
+
 TEST(BinaryRewriterTest, InstrumentInsertsRuntimeFirstAndConfig) {
   BinaryRewriter rewriter;
   const ApplicationImage original = SampleImage();
