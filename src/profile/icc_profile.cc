@@ -47,12 +47,12 @@ void IccProfile::RecordCall(const CallKey& key, uint64_t request_bytes, uint64_t
 void IccProfile::InjectCallSummary(const CallKey& key, const ExponentialHistogram& requests,
                                    const ExponentialHistogram& replies,
                                    uint64_t non_remotable_calls) {
-  CallSummary& summary = calls_[key];
-  summary.requests.Merge(requests);
-  summary.replies.Merge(replies);
-  summary.non_remotable_calls += non_remotable_calls;
-  total_calls_ += requests.total_count();
-  total_bytes_ += requests.total_bytes() + replies.total_bytes();
+  FillCallSummary(key, [&](CallSummary& summary) {
+    summary.requests.Merge(requests);
+    summary.replies.Merge(replies);
+    summary.non_remotable_calls += non_remotable_calls;
+    return Status::Ok();
+  });
 }
 
 void IccProfile::RecordAllocation(ClassificationId id, uint64_t bytes) {

@@ -88,9 +88,24 @@ class IccProfile {
   // the allocating classification; feeds migration state-size estimates.
   // No-op for unknown classifications (mirrors RecordInstantiation).
   void RecordAllocation(ClassificationId id, uint64_t bytes);
-  // Injects pre-summarized histograms for a key (profile log loading).
+  // Injects pre-summarized histograms for a key.
   void InjectCallSummary(const CallKey& key, const ExponentialHistogram& requests,
                          const ExponentialHistogram& replies, uint64_t non_remotable_calls);
+  // `fill(CallSummary&)` adds pre-summarized data to the key's summary in
+  // place (created empty on first use, so keys enter calls() in the order
+  // they are filled), and the profile totals grow by what it added.
+  // Returns fill's Status. Profile log loading builds each `call` line's
+  // histograms this way, with no temporary histograms.
+  template <typename Fill>
+  Status FillCallSummary(const CallKey& key, Fill&& fill) {
+    CallSummary& summary = calls_[key];
+    const uint64_t calls_before = summary.call_count();
+    const uint64_t bytes_before = summary.total_bytes();
+    Status status = fill(summary);
+    total_calls_ += summary.call_count() - calls_before;
+    total_bytes_ += summary.total_bytes() - bytes_before;
+    return status;
+  }
 
   // --- Queries (analysis side) ---------------------------------------------
 

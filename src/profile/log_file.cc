@@ -1,9 +1,6 @@
 #include "src/profile/log_file.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "src/support/str_util.h"
 
@@ -12,94 +9,128 @@ namespace {
 
 constexpr char kMagic[] = "coign-profile v1";
 
-std::string HistogramFields(const ExponentialHistogram& h) {
-  std::string out;
-  for (int bucket : h.NonEmptyBuckets()) {
-    out += StrFormat(" %d:%llu:%llu", bucket,
-                     static_cast<unsigned long long>(h.CountAt(bucket)),
-                     static_cast<unsigned long long>(h.BytesAt(bucket)));
-  }
-  return out;
+void AppendHistogramFields(std::string* out, const ExponentialHistogram& h) {
+  h.ForEachNonEmptyBucket([out](int bucket, uint64_t count, uint64_t bytes) {
+    StrAppend(out, ' ', bucket, ':', count, ':', bytes);
+  });
 }
 
-Status ParseHistogramFields(std::istringstream& in, ExponentialHistogram* h) {
-  std::string field;
-  while (in >> field) {
+// Reads "bucket:count:bytes" fields into `h` up to the ";" that ends them.
+Status ReadHistogramFields(FieldReader& fields, ExponentialHistogram* h) {
+  for (std::string_view field = fields.Field(); !field.empty(); field = fields.Field()) {
     if (field == ";") {
       return Status::Ok();
     }
     int bucket = 0;
-    unsigned long long count = 0, bytes = 0;
-    if (std::sscanf(field.c_str(), "%d:%llu:%llu", &bucket, &count, &bytes) != 3) {
-      return InvalidArgumentError("malformed histogram field: " + field);
+    uint64_t count = 0;
+    uint64_t bytes = 0;
+    if (!ParseColonTriple(field, &bucket, &count, &bytes) || bucket < 0 ||
+        bucket > ExponentialHistogram::kMaxBucket) {
+      return InvalidArgumentError("malformed histogram field: " + std::string(field));
     }
     h->AddBucket(bucket, count, bytes);
   }
   return InvalidArgumentError("unterminated histogram fields");
 }
 
-Status Malformed(const std::string& line) {
-  return InvalidArgumentError("malformed profile line: " + line);
+Status Malformed(std::string_view line) {
+  return InvalidArgumentError("malformed profile line: " + std::string(line));
 }
 
 }  // namespace
 
 std::string SerializeProfile(const IccProfile& profile) {
-  std::string out = kMagic;
-  out += "\n";
+  std::string out;
+  out.reserve(96 * profile.classifications().size() + 96 * profile.calls().size());
+  StrAppend(&out, kMagic, '\n');
   for (ClassificationId id : profile.SortedClassificationIds()) {
     const ClassificationInfo* info = profile.FindClassification(id);
-    out += StrFormat("classification %u %s %u %llu %s\n", info->id,
-                     info->clsid.ToString().c_str(), info->api_usage,
-                     static_cast<unsigned long long>(info->instance_count),
-                     info->class_name.c_str());
+    StrAppend(&out, "classification ", info->id, ' ');
+    info->clsid.AppendTo(&out);
+    StrAppend(&out, ' ', info->api_usage, ' ', info->instance_count, ' ', info->class_name, '\n');
     if (info->allocation_bytes > 0) {
-      out += StrFormat("alloc %u %llu\n", id,
-                       static_cast<unsigned long long>(info->allocation_bytes));
+      StrAppend(&out, "alloc ", id, ' ', info->allocation_bytes, '\n');
     }
     const double compute = profile.ComputeSecondsOf(id);
     if (compute > 0.0) {
-      out += StrFormat("compute %u %.9e\n", id, compute);
+      StrAppend(&out, "compute ", id, ' ');
+      AppendScientific9(&out, compute);
+      out += '\n';
     }
   }
   for (const auto& [key, summary] : profile.calls()) {
-    out += StrFormat("call %u %u %s %u %llu req%s ; rep%s ;\n", key.src, key.dst,
-                     key.iid.ToString().c_str(), key.method,
-                     static_cast<unsigned long long>(summary.non_remotable_calls),
-                     HistogramFields(summary.requests).c_str(),
-                     HistogramFields(summary.replies).c_str());
+    StrAppend(&out, "call ", key.src, ' ', key.dst, ' ');
+    key.iid.AppendTo(&out);
+    StrAppend(&out, ' ', key.method, ' ', summary.non_remotable_calls, " req");
+    AppendHistogramFields(&out, summary.requests);
+    out += " ; rep";
+    AppendHistogramFields(&out, summary.replies);
+    out += " ;\n";
   }
   return out;
 }
 
-Result<IccProfile> ParseProfile(const std::string& text) {
+Result<IccProfile> ParseProfile(std::string_view text) {
   IccProfile profile;
-  std::istringstream lines(text);
-  std::string line;
-  if (!std::getline(lines, line) || line != kMagic) {
+  FieldReader fields(text);
+  if (!fields.NextLine() || fields.line() != kMagic) {
     return InvalidArgumentError("missing profile magic header");
   }
-  while (std::getline(lines, line)) {
+  while (fields.NextLine()) {
+    const std::string_view line = fields.line();
     if (line.empty()) {
       continue;
     }
-    std::istringstream in(line);
-    std::string keyword;
-    in >> keyword;
-    if (keyword == "classification") {
-      ClassificationInfo info;
-      std::string guid_text;
-      unsigned long long count = 0;
-      in >> info.id >> guid_text >> info.api_usage >> count;
-      if (in.fail()) {
+    const std::string_view keyword = fields.Field();
+    if (keyword == "call") {
+      CallKey key;
+      uint64_t non_remotable = 0;
+      if (!fields.Number(&key.src) || !fields.Number(&key.dst)) {
         return Malformed(line);
       }
-      info.instance_count = count;
-      std::getline(in, info.class_name);
-      if (!info.class_name.empty() && info.class_name.front() == ' ') {
-        info.class_name.erase(0, 1);
+      const std::string_view iid_text = fields.Field();
+      if (!fields.Number(&key.method) || !fields.Number(&non_remotable)) {
+        return Malformed(line);
       }
-      Result<Guid> clsid = Guid::Parse(guid_text);
+      Result<Guid> iid = Guid::Parse(iid_text);
+      if (!iid.ok()) {
+        return iid.status();
+      }
+      key.iid = *iid;
+      if (fields.Field() != "req") {
+        return InvalidArgumentError("expected 'req' marker");
+      }
+      // The histograms build straight on the profile's summary; a failed
+      // line fails the whole parse, so a half-filled summary never escapes.
+      COIGN_RETURN_IF_ERROR(profile.FillCallSummary(key, [&](CallSummary& summary) {
+        COIGN_RETURN_IF_ERROR(ReadHistogramFields(fields, &summary.requests));
+        if (fields.Field() != "rep") {
+          return InvalidArgumentError("expected 'rep' marker");
+        }
+        COIGN_RETURN_IF_ERROR(ReadHistogramFields(fields, &summary.replies));
+        if (!fields.LineDone()) {
+          return Malformed(line);
+        }
+        summary.non_remotable_calls += non_remotable;
+        return Status::Ok();
+      }));
+    } else if (keyword == "classification") {
+      ClassificationInfo info;
+      if (!fields.Number(&info.id)) {
+        return Malformed(line);
+      }
+      const std::string_view clsid_text = fields.Field();
+      if (!fields.Number(&info.api_usage) || !fields.Number(&info.instance_count)) {
+        return Malformed(line);
+      }
+      // The class name is the rest of the line after one separating space;
+      // it may hold spaces of its own or be empty.
+      std::string_view name = fields.LineTail();
+      if (!name.empty() && name.front() == ' ') {
+        name.remove_prefix(1);
+      }
+      info.class_name = name;
+      Result<Guid> clsid = Guid::Parse(clsid_text);
       if (!clsid.ok()) {
         return clsid.status();
       }
@@ -107,50 +138,20 @@ Result<IccProfile> ParseProfile(const std::string& text) {
       profile.RecordClassification(info);
     } else if (keyword == "alloc") {
       ClassificationId id = kNoClassification;
-      unsigned long long bytes = 0;
-      in >> id >> bytes;
-      if (!FieldsConsumed(in)) {
+      uint64_t bytes = 0;
+      if (!fields.Number(&id) || !fields.Number(&bytes) || !fields.LineDone()) {
         return Malformed(line);
       }
       profile.RecordAllocation(id, bytes);
     } else if (keyword == "compute") {
       ClassificationId id = kNoClassification;
       double seconds = 0.0;
-      in >> id >> seconds;
-      if (!FieldsConsumed(in)) {
+      if (!fields.Number(&id) || !fields.Number(&seconds) || !fields.LineDone()) {
         return Malformed(line);
       }
       profile.RecordCompute(id, seconds);
-    } else if (keyword == "call") {
-      CallKey key;
-      std::string guid_text, marker;
-      unsigned long long non_remotable = 0;
-      in >> key.src >> key.dst >> guid_text >> key.method >> non_remotable;
-      if (in.fail()) {
-        return Malformed(line);
-      }
-      Result<Guid> iid = Guid::Parse(guid_text);
-      if (!iid.ok()) {
-        return iid.status();
-      }
-      key.iid = *iid;
-      in >> marker;
-      if (marker != "req") {
-        return InvalidArgumentError("expected 'req' marker");
-      }
-      ExponentialHistogram requests, replies;
-      COIGN_RETURN_IF_ERROR(ParseHistogramFields(in, &requests));
-      in >> marker;
-      if (marker != "rep") {
-        return InvalidArgumentError("expected 'rep' marker");
-      }
-      COIGN_RETURN_IF_ERROR(ParseHistogramFields(in, &replies));
-      if (!FieldsConsumed(in)) {
-        return Malformed(line);
-      }
-      profile.InjectCallSummary(key, requests, replies, non_remotable);
     } else {
-      return InvalidArgumentError("unknown profile keyword: " + keyword);
+      return InvalidArgumentError("unknown profile keyword: " + std::string(keyword));
     }
   }
   return profile;
@@ -169,13 +170,16 @@ Status WriteProfileFile(const IccProfile& profile, const std::string& path) {
 }
 
 Result<IccProfile> ReadProfileFile(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     return NotFoundError("cannot open profile file: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseProfile(buffer.str());
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  return ParseProfile(text);
 }
 
 Result<IccProfile> MergeProfileFiles(const std::vector<std::string>& paths) {

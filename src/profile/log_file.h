@@ -12,17 +12,23 @@
 #define COIGN_SRC_PROFILE_LOG_FILE_H_
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/profile/icc_profile.h"
 #include "src/support/status.h"
 
 namespace coign {
 
-// Serializes a profile to the log format.
+// Serializes a profile to the log format: the magic line; then, by
+// ascending classification id, a `classification` line with its `alloc`
+// and `compute` lines (each written only when positive); then one `call`
+// line per key in calls() iteration order.
 std::string SerializeProfile(const IccProfile& profile);
 
-// Parses a serialized profile.
-Result<IccProfile> ParseProfile(const std::string& text);
+// Parses a serialized profile. Call keys enter the profile in file order.
+// A malformed line fails the whole parse with InvalidArgumentError.
+Result<IccProfile> ParseProfile(std::string_view text);
 
 // File convenience wrappers.
 Status WriteProfileFile(const IccProfile& profile, const std::string& path);

@@ -1,8 +1,5 @@
 #include "src/runtime/config_record.h"
 
-#include <cstdio>
-#include <sstream>
-
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -29,8 +26,13 @@ Result<ClassifierKind> ClassifierKindFromIndex(int index) {
   return kinds[static_cast<size_t>(index)];
 }
 
-Status Malformed(const std::string& line) {
-  return InvalidArgumentError("malformed config line: " + line);
+Status Malformed(std::string_view line) {
+  return InvalidArgumentError("malformed config line: " + std::string(line));
+}
+
+// Machine ids are dense and start at kClientMachine.
+bool ReadMachine(FieldReader& fields, MachineId* machine) {
+  return fields.Number(machine) && *machine >= 0;
 }
 
 int ClassifierKindIndex(ClassifierKind kind) {
@@ -46,50 +48,48 @@ int ClassifierKindIndex(ClassifierKind kind) {
 }  // namespace
 
 std::string ConfigurationRecord::Serialize() const {
-  std::string out = kMagic;
-  out += StrFormat("\nmode %d\nclassifier %d %d\ndefault-machine %d\n",
-                   static_cast<int>(mode), ClassifierKindIndex(classifier_kind),
-                   classifier_depth, distribution.default_machine);
+  std::string out;
+  out.reserve(96 + 16 * distribution.placement.size() + 64 * classifier_table.size() +
+              profile_text.size());
+  StrAppend(&out, kMagic, "\nmode ", static_cast<int>(mode), "\nclassifier ",
+            ClassifierKindIndex(classifier_kind), ' ', classifier_depth, "\ndefault-machine ",
+            distribution.default_machine, '\n');
   for (const auto& [id, machine] : distribution.placement) {
-    out += StrFormat("place %u %d\n", id, machine);
+    StrAppend(&out, "place ", id, ' ', machine, '\n');
   }
   for (const Descriptor& descriptor : classifier_table) {
-    out += StrFormat("desc %s %zu", descriptor.clsid.ToString().c_str(),
-                     descriptor.tokens.size());
+    out += "desc ";
+    descriptor.clsid.AppendTo(&out);
+    StrAppend(&out, ' ', descriptor.tokens.size());
     for (const DescriptorToken& token : descriptor.tokens) {
-      out += StrFormat(" %llu:%llu:%llu", static_cast<unsigned long long>(token.tag),
-                       static_cast<unsigned long long>(token.a),
-                       static_cast<unsigned long long>(token.b));
+      StrAppend(&out, ' ', token.tag, ':', token.a, ':', token.b);
     }
-    out += "\n";
+    out += '\n';
   }
-  out += StrFormat("profile %zu\n", profile_text.size());
+  StrAppend(&out, "profile ", profile_text.size(), '\n');
   out += profile_text;
   return out;
 }
 
-Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
+Result<ConfigurationRecord> ConfigurationRecord::Parse(std::string_view text) {
+  FieldReader fields(text);
+  if (!fields.NextLine() || fields.line() != kMagic) {
     return InvalidArgumentError("missing configuration record magic");
   }
   ConfigurationRecord record;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string keyword;
-    fields >> keyword;
+  while (fields.NextLine()) {
+    const std::string_view line = fields.line();
+    const std::string_view keyword = fields.Field();
     if (keyword == "mode") {
       int mode = 0;
-      fields >> mode;
-      if (!FieldsConsumed(fields) || (mode != 0 && mode != 1)) {
+      if (!fields.Number(&mode) || !fields.LineDone() || (mode != 0 && mode != 1)) {
         return Malformed(line);
       }
       record.mode = mode == 0 ? RuntimeMode::kProfiling : RuntimeMode::kDistributed;
     } else if (keyword == "classifier") {
       int kind_index = 0;
-      fields >> kind_index >> record.classifier_depth;
-      if (!FieldsConsumed(fields)) {
+      if (!fields.Number(&kind_index) || !fields.Number(&record.classifier_depth) ||
+          !fields.LineDone()) {
         return Malformed(line);
       }
       Result<ClassifierKind> kind = ClassifierKindFromIndex(kind_index);
@@ -98,61 +98,54 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) 
       }
       record.classifier_kind = *kind;
     } else if (keyword == "default-machine") {
-      fields >> record.distribution.default_machine;
-      if (!FieldsConsumed(fields)) {
+      if (!ReadMachine(fields, &record.distribution.default_machine) || !fields.LineDone()) {
         return Malformed(line);
       }
     } else if (keyword == "place") {
       ClassificationId id = kNoClassification;
       MachineId machine = kClientMachine;
-      fields >> id >> machine;
-      if (!FieldsConsumed(fields)) {
+      if (!fields.Number(&id) || !ReadMachine(fields, &machine) || !fields.LineDone()) {
         return Malformed(line);
       }
       record.distribution.placement[id] = machine;
     } else if (keyword == "desc") {
       Descriptor descriptor;
-      std::string guid_text;
+      Result<Guid> clsid = Guid::Parse(fields.Field());
+      if (!clsid.ok()) {
+        return clsid.status();
+      }
+      descriptor.clsid = *clsid;
       size_t token_count = 0;
-      fields >> guid_text >> token_count;
-      if (guid_text != "{0000000000000000-0000000000000000}") {
-        Result<Guid> clsid = Guid::Parse(guid_text);
-        if (!clsid.ok()) {
-          return clsid.status();
-        }
-        descriptor.clsid = *clsid;
+      if (!fields.Number(&token_count)) {
+        return Malformed(line);
       }
       for (size_t i = 0; i < token_count; ++i) {
-        std::string token_text;
-        fields >> token_text;
+        const std::string_view token_text = fields.Field();
         DescriptorToken token;
-        unsigned long long tag = 0, a = 0, b = 0;
-        if (std::sscanf(token_text.c_str(), "%llu:%llu:%llu", &tag, &a, &b) != 3) {
-          return InvalidArgumentError("malformed descriptor token: " + token_text);
+        if (!ParseColonTriple(token_text, &token.tag, &token.a, &token.b)) {
+          return InvalidArgumentError("malformed descriptor token: " + std::string(token_text));
         }
-        token.tag = tag;
-        token.a = a;
-        token.b = b;
         descriptor.tokens.push_back(token);
       }
-      if (!FieldsConsumed(fields)) {
+      if (!fields.LineDone()) {
         return Malformed(line);
       }
       record.classifier_table.push_back(std::move(descriptor));
     } else if (keyword == "profile") {
       size_t length = 0;
-      fields >> length;
-      if (!FieldsConsumed(fields)) {
+      if (!fields.Number(&length) || !fields.LineDone()) {
         return Malformed(line);
       }
-      std::string rest((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-      if (rest.size() < length) {
+      // The payload is the next `length` bytes after this line; anything
+      // after it is ignored.
+      const std::string_view payload = fields.unread();
+      if (payload.size() < length) {
         return InvalidArgumentError("truncated profile payload in config record");
       }
-      record.profile_text = rest.substr(0, length);
+      record.profile_text.assign(payload.data(), length);
       return record;
     } else if (!keyword.empty()) {
-      return InvalidArgumentError("unknown config keyword: " + keyword);
+      return InvalidArgumentError("unknown config keyword: " + std::string(keyword));
     }
   }
   return record;

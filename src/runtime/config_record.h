@@ -9,6 +9,7 @@
 #define COIGN_SRC_RUNTIME_CONFIG_RECORD_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/classify/classifiers.h"
 #include "src/graph/distribution.h"
@@ -39,8 +40,14 @@ struct ConfigurationRecord {
   // combined into the configuration record in the application binary").
   std::string profile_text;
 
+  // The magic line, then `mode`, `classifier` and `default-machine`
+  // lines, one `place` line per placement entry in its iteration order,
+  // one `desc` line per classifier-table entry, and a `profile <bytes>`
+  // line followed by the raw profile text.
   std::string Serialize() const;
-  static Result<ConfigurationRecord> Parse(const std::string& text);
+  // Copies the profile payload once; a malformed line fails the whole
+  // parse with InvalidArgumentError.
+  static Result<ConfigurationRecord> Parse(std::string_view text);
 };
 
 }  // namespace coign

@@ -27,6 +27,9 @@ struct Guid {
 
   // "{0123456789abcdef-0123456789abcdef}".
   std::string ToString() const;
+  // Appends ToString()'s 35 bytes to `out`.
+  void AppendTo(std::string* out) const;
+  // Accepts ToString()'s form, upper-case hex digits too.
   static Result<Guid> Parse(std::string_view text);
 
   friend constexpr bool operator==(const Guid& a, const Guid& b) {

@@ -89,11 +89,7 @@ double ExponentialHistogram::MeanSizeAt(int bucket) const {
 std::vector<int> ExponentialHistogram::NonEmptyBuckets() const {
   std::vector<int> out;
   out.reserve(buckets_.size());
-  for (const auto& [index, bucket] : buckets_) {
-    if (bucket.count > 0) {
-      out.push_back(index);
-    }
-  }
+  ForEachNonEmptyBucket([&out](int index, uint64_t, uint64_t) { out.push_back(index); });
   return out;
 }
 

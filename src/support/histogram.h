@@ -40,6 +40,16 @@ class ExponentialHistogram {
 
   // Indices of non-empty buckets, ascending.
   std::vector<int> NonEmptyBuckets() const;
+  // Calls fn(bucket, count, bytes) for each non-empty bucket, ascending,
+  // without building the index vector.
+  template <typename Fn>
+  void ForEachNonEmptyBucket(Fn&& fn) const {
+    for (const auto& [index, bucket] : buckets_) {
+      if (bucket.count > 0) {
+        fn(index, bucket.count, bucket.bytes);
+      }
+    }
+  }
 
   bool empty() const { return total_count_ == 0; }
 

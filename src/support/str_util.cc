@@ -3,9 +3,16 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <istream>
 
 namespace coign {
+namespace {
+
+// The field separators of the text records: the "C" locale's isspace set.
+bool IsFieldSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+}  // namespace
 
 std::string StrFormat(const char* format, ...) {
   va_list args;
@@ -87,12 +94,39 @@ bool ParseFixedHex(std::string_view hex, size_t digits, uint64_t* out) {
   return true;
 }
 
-bool FieldsConsumed(std::istream& fields) {
-  if (fields.fail()) {
+bool FieldReader::NextLine() {
+  if (unread_.empty()) {
     return false;
   }
-  std::string extra;
-  return !(fields >> extra);
+  const size_t end = unread_.find('\n');
+  if (end == std::string_view::npos) {
+    line_ = unread_;
+    unread_ = {};
+  } else {
+    line_ = unread_.substr(0, end);
+    unread_.remove_prefix(end + 1);
+  }
+  pos_ = 0;
+  return true;
+}
+
+std::string_view FieldReader::Field() {
+  while (pos_ < line_.size() && IsFieldSpace(line_[pos_])) {
+    ++pos_;
+  }
+  const size_t begin = pos_;
+  while (pos_ < line_.size() && !IsFieldSpace(line_[pos_])) {
+    ++pos_;
+  }
+  return line_.substr(begin, pos_ - begin);
+}
+
+void AppendScientific9(std::string* out, double value) {
+  // "-1.234567890e-308" is 17 bytes; inf and nan are shorter.
+  char buffer[32];
+  const std::to_chars_result written = std::to_chars(
+      buffer, buffer + sizeof(buffer), value, std::chars_format::scientific, 9);
+  out->append(buffer, written.ptr);
 }
 
 }  // namespace coign

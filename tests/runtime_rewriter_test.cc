@@ -52,12 +52,24 @@ TEST(ConfigRecordTest, ParseRejectsGarbage) {
 
 TEST(ConfigRecordTest, ParseRejectsMalformedLines) {
   // Each line is missing a field, carries a non-number, an out-of-range
-  // mode or trailing junk; none may parse to a default.
+  // mode, id or machine, a signed unsigned field, a malformed descriptor
+  // token or trailing junk; none may parse to a default.
   for (const char* line :
        {"mode x", "mode 2", "mode -1", "mode 1 extra", "mode", "place 7", "place abc 1",
         "place 7 1 junk", "default-machine z", "default-machine 1 2", "classifier 0",
         "classifier 0 3 x", "profile x", "profile 0 0",
-        "desc {0000000000000000-0000000000000000} 1 1:2:3 junk"}) {
+        "desc {0000000000000000-0000000000000000} 1 1:2:3 junk",
+        // Negative and out-of-range ids and machines.
+        "place -3 1", "place +3 1", "place 3 -7", "place 4294967296 1", "place 3 2147483648",
+        "default-machine -2", "profile -1",
+        // Descriptor tokens: trailing characters, signs, missing parts.
+        "desc {0000000000000000-0000000000000000} 1 1:2:3x",
+        "desc {0000000000000000-0000000000000000} 1 1:-2:3",
+        "desc {0000000000000000-0000000000000000} 1 -1:2:3",
+        "desc {0000000000000000-0000000000000000} 1 1:2",
+        "desc {0000000000000000-0000000000000000} 2 1:2:3",
+        "desc {0000000000000000-0000000000000000} -1",
+        "desc {0000000000000000-0000000000000000}"}) {
     const Result<ConfigurationRecord> parsed =
         ConfigurationRecord::Parse(std::string("coign-config v1\n") + line + "\n");
     ASSERT_FALSE(parsed.ok()) << line;
@@ -73,6 +85,37 @@ TEST(ConfigRecordTest, ParseRejectsMalformedLines) {
   EXPECT_EQ(parsed->distribution.placement.at(7), 0);
   ASSERT_EQ(parsed->classifier_table.size(), 1u);
   EXPECT_EQ(parsed->classifier_table[0].tokens.size(), 1u);
+}
+
+// The serialized form is pinned: header lines, `place` lines, `desc`
+// tokens and the length-prefixed profile payload, which is copied raw
+// (newlines included) and may be followed by bytes the parse ignores.
+TEST(ConfigRecordTest, SerializedFormIsPinned) {
+  ConfigurationRecord record;
+  record.mode = RuntimeMode::kDistributed;
+  record.classifier_kind = AllClassifierKinds()[2];
+  record.classifier_depth = kCompleteStackWalk;
+  record.distribution.default_machine = kServerMachine;
+  record.distribution.placement[4294967294u] = 2;
+  Descriptor descriptor;
+  descriptor.clsid = Guid{0xabcdef, 1};
+  descriptor.tokens = {{18446744073709551615ull, 0, 7}, {1, 2, 3}};
+  record.classifier_table = {descriptor, Descriptor{}};
+  record.profile_text = "coign-profile v1\nx\n";
+  const std::string text = record.Serialize();
+  EXPECT_EQ(text,
+            "coign-config v1\nmode 1\nclassifier 2 -1\ndefault-machine 1\n"
+            "place 4294967294 2\n"
+            "desc {0000000000abcdef-0000000000000001} 2 18446744073709551615:0:7 1:2:3\n"
+            "desc {0000000000000000-0000000000000000} 0\n"
+            "profile 19\ncoign-profile v1\nx\n");
+  const Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(text + "ignored tail");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Serialize(), text);
+  EXPECT_EQ(parsed->classifier_table, record.classifier_table);
+  EXPECT_EQ(parsed->profile_text, record.profile_text);
+  EXPECT_EQ(ConfigurationRecord::Parse(text.substr(0, text.size() - 1)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(BinaryRewriterTest, InstrumentInsertsRuntimeFirstAndConfig) {

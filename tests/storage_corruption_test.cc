@@ -1,4 +1,4 @@
-// Disk-corruption fuzz sweep over the checksummed persistence formats.
+// Disk-corruption fuzz sweep over the persistence formats.
 //
 // The storage-integrity contract: a plan-cache (v4) or migration-journal
 // (v2) snapshot damaged on disk must never crash the loader and must never
@@ -10,14 +10,22 @@
 // the seeded random sweep adds byte overwrites and multi-bit damage. Run
 // under ASan/UBSan in CI, this is the "never crash, never lie" proof for
 // the storage layer.
+//
+// The text codecs without a checksum (the profile log and the
+// configuration record) get the same sweeps with a weaker contract: a
+// damaged text parses or fails with InvalidArgumentError, and whatever
+// parses re-serializes to a text that parses back to an equal value.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "src/fleet/plan_cache.h"
 #include "src/online/migration_journal.h"
+#include "src/profile/log_file.h"
+#include "src/runtime/config_record.h"
 #include "src/support/rng.h"
 #include "src/support/str_util.h"
 
@@ -82,6 +90,31 @@ void ExpectSurvivorsArePristine(PlanCache& reloaded, const std::string& pristine
     EXPECT_NE(pristine.find(block), std::string::npos)
         << context << ": loader invented record:\n" << block;
   }
+}
+
+// Seeded random damage: one to three rounds of a bit flip anywhere (the
+// header included), a byte overwrite with an arbitrary value, or a
+// truncation.
+std::string RandomDamage(Rng& rng, std::string text) {
+  const int rounds = static_cast<int>(rng.UniformInt(1, 3));
+  for (int round = 0; round < rounds && !text.empty(); ++round) {
+    switch (rng.UniformInt(0, 2)) {
+      case 0: {
+        const size_t bit = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(text.size()) * 8 - 1));
+        text[bit / 8] = static_cast<char>(text[bit / 8] ^ (1u << (bit % 8)));
+        break;
+      }
+      case 1: {
+        text[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1))] =
+            static_cast<char>(rng.UniformInt(0, 255));
+        break;
+      }
+      default:
+        text.resize(static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(text.size()))));
+    }
+  }
+  return text;
 }
 
 TEST(StorageCorruptionTest, CacheV4SurvivesEverySingleBitFlipInTheBody) {
@@ -191,40 +224,140 @@ TEST(StorageCorruptionTest, RandomDamageNeverCrashesALoader) {
   const std::string journal_snapshot = journal.Serialize();
 
   Rng rng(2026);
-  const auto damage = [&rng](std::string text) {
-    const int rounds = static_cast<int>(rng.UniformInt(1, 3));
-    for (int round = 0; round < rounds && !text.empty(); ++round) {
-      switch (rng.UniformInt(0, 2)) {
-        case 0: {  // Single-bit flip anywhere, header included.
-          const size_t bit = static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(text.size()) * 8 - 1));
-          text[bit / 8] = static_cast<char>(text[bit / 8] ^ (1u << (bit % 8)));
-          break;
-        }
-        case 1: {  // Byte overwrite with an arbitrary value.
-          text[static_cast<size_t>(rng.UniformInt(
-              0, static_cast<int64_t>(text.size()) - 1))] =
-              static_cast<char>(rng.UniformInt(0, 255));
-          break;
-        }
-        default:  // Truncation.
-          text.resize(static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(text.size()))));
-      }
-    }
-    return text;
-  };
-
   for (int trial = 0; trial < 400; ++trial) {
     PlanCache cache(8);
-    if (cache.Load(damage(cache_snapshot)).ok()) {
+    if (cache.Load(RandomDamage(rng, cache_snapshot)).ok()) {
       (void)cache.Serialize();  // A surviving cache must still function.
     }
-    Result<MigrationJournal> parsed = MigrationJournal::Parse(damage(journal_snapshot));
+    Result<MigrationJournal> parsed = MigrationJournal::Parse(RandomDamage(rng, journal_snapshot));
     if (parsed.ok()) {
       (void)parsed->InFlight();
       (void)parsed->Serialize();
     }
+  }
+}
+
+// A small profile log with every record kind: two classifications (one
+// name with a space), alloc and compute lines, and two call keys.
+std::string SmallProfileLog() {
+  IccProfile profile;
+  ClassificationInfo reader;
+  reader.id = 0;
+  reader.clsid = Guid::FromName("clsid:Reader");
+  reader.class_name = "App.Doc Reader";
+  reader.api_usage = 4;
+  reader.instance_count = 2;
+  profile.RecordClassification(reader);
+  profile.RecordAllocation(0, 640);
+  profile.RecordCompute(0, 0.125);
+  ClassificationInfo ui;
+  ui.id = 13;
+  ui.clsid = Guid::FromName("clsid:Ui");
+  ui.class_name = "App.Ui";
+  ui.instance_count = 1;
+  profile.RecordClassification(ui);
+  profile.RecordCompute(13, 3.75e-5);
+  CallKey key{0, 13, Guid::FromName("iid:IView"), 2};
+  profile.RecordCall(key, 1000, 64, true);
+  profile.RecordCall(key, 3, 100000, false);
+  profile.RecordCall(CallKey{kNoClassification, 0, Guid::FromName("iid:IDoc"), 0}, 0, 12, true);
+  return SerializeProfile(profile);
+}
+
+// A configuration record with every section: header lines, `place`
+// lines, `desc` lines with tokens, and the small profile log as payload.
+std::string SmallConfigRecord() {
+  ConfigurationRecord record;
+  record.mode = RuntimeMode::kDistributed;
+  record.classifier_depth = 4;
+  record.distribution.default_machine = kServerMachine;
+  record.distribution.placement[0] = kClientMachine;
+  record.distribution.placement[13] = kServerMachine;
+  Descriptor descriptor;
+  descriptor.clsid = Guid::FromName("clsid:Reader");
+  descriptor.tokens = {{1, 22, 333}, {4, 5, 6}};
+  record.classifier_table = {descriptor, Descriptor{}};
+  record.profile_text = SmallProfileLog();
+  return record.Serialize();
+}
+
+std::vector<std::string> SortedLines(const std::string& text) {
+  std::vector<std::string> lines = SplitString(text, '\n');
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// The text-codec oracle for one (possibly damaged) profile log: the parse
+// fails with InvalidArgumentError, or its re-serialization parses to a
+// profile with the same records. The records are what the log carries; it
+// leaves out zero-count buckets and compute times that are not positive
+// or belong to no classification, and call lines follow hash-map order.
+void CheckProfileCodec(const std::string& text, const std::string& context) {
+  const Result<IccProfile> parsed = ParseProfile(text);
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << context;
+    return;
+  }
+  const std::string written = SerializeProfile(*parsed);
+  const Result<IccProfile> again = ParseProfile(written);
+  ASSERT_TRUE(again.ok()) << context << ": " << again.status().ToString();
+  EXPECT_EQ(SortedLines(SerializeProfile(*again)), SortedLines(written)) << context;
+  EXPECT_EQ(again->total_calls(), parsed->total_calls()) << context;
+}
+
+// The same oracle for a configuration record, which carries every field
+// it parses, so the round trip must give an equal record.
+void CheckConfigCodec(const std::string& text, const std::string& context) {
+  const Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(text);
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << context;
+    return;
+  }
+  const Result<ConfigurationRecord> again = ConfigurationRecord::Parse(parsed->Serialize());
+  ASSERT_TRUE(again.ok()) << context << ": " << again.status().ToString();
+  EXPECT_EQ(again->mode, parsed->mode) << context;
+  EXPECT_EQ(again->classifier_kind, parsed->classifier_kind) << context;
+  EXPECT_EQ(again->classifier_depth, parsed->classifier_depth) << context;
+  EXPECT_EQ(again->distribution.default_machine, parsed->distribution.default_machine) << context;
+  EXPECT_EQ(again->distribution.placement, parsed->distribution.placement) << context;
+  EXPECT_EQ(again->classifier_table, parsed->classifier_table) << context;
+  EXPECT_EQ(again->profile_text, parsed->profile_text) << context;
+  CheckProfileCodec(parsed->profile_text, context + " payload");
+}
+
+TEST(StorageCorruptionTest, ProfileLogSurvivesEveryBitFlipAndTruncation) {
+  const std::string pristine = SmallProfileLog();
+  ASSERT_TRUE(ParseProfile(pristine).ok());
+  for (size_t bit = 0; bit < pristine.size() * 8; ++bit) {
+    std::string damaged = pristine;
+    damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1u << (bit % 8)));
+    CheckProfileCodec(damaged, StrFormat("bit %zu", bit));
+  }
+  for (size_t keep = 0; keep <= pristine.size(); ++keep) {
+    CheckProfileCodec(pristine.substr(0, keep), StrFormat("keep %zu", keep));
+  }
+}
+
+TEST(StorageCorruptionTest, ConfigRecordSurvivesEveryBitFlipAndTruncation) {
+  const std::string pristine = SmallConfigRecord();
+  ASSERT_TRUE(ConfigurationRecord::Parse(pristine).ok());
+  for (size_t bit = 0; bit < pristine.size() * 8; ++bit) {
+    std::string damaged = pristine;
+    damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1u << (bit % 8)));
+    CheckConfigCodec(damaged, StrFormat("bit %zu", bit));
+  }
+  for (size_t keep = 0; keep <= pristine.size(); ++keep) {
+    CheckConfigCodec(pristine.substr(0, keep), StrFormat("keep %zu", keep));
+  }
+}
+
+TEST(StorageCorruptionTest, RandomDamageKeepsTheTextCodecsConsistent) {
+  const std::string profile_log = SmallProfileLog();
+  const std::string config_record = SmallConfigRecord();
+  Rng rng(1999);
+  for (int trial = 0; trial < 2000; ++trial) {
+    CheckProfileCodec(RandomDamage(rng, profile_log), StrFormat("profile trial %d", trial));
+    CheckConfigCodec(RandomDamage(rng, config_record), StrFormat("config trial %d", trial));
   }
 }
 

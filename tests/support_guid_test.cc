@@ -38,6 +38,17 @@ TEST(GuidTest, RoundTripsThroughString) {
 TEST(GuidTest, ToStringFormat) {
   Guid g{0x0123456789abcdefull, 0xfedcba9876543210ull};
   EXPECT_EQ(g.ToString(), "{0123456789abcdef-fedcba9876543210}");
+  std::string appended = "x";
+  g.AppendTo(&appended);
+  EXPECT_EQ(appended, "x{0123456789abcdef-fedcba9876543210}");
+  EXPECT_EQ(Guid{}.ToString(), "{0000000000000000-0000000000000000}");
+  EXPECT_EQ((Guid{~0ull, 1}.ToString()), "{ffffffffffffffff-0000000000000001}");
+}
+
+TEST(GuidTest, ParseAcceptsUpperCaseHex) {
+  const Result<Guid> parsed = Guid::Parse("{0123456789ABCDEF-FEDCBA9876543210}");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed, (Guid{0x0123456789abcdefull, 0xfedcba9876543210ull}));
 }
 
 TEST(GuidTest, ParseRejectsMalformedInput) {
