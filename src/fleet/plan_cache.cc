@@ -1,6 +1,5 @@
 #include "src/fleet/plan_cache.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -120,11 +119,7 @@ std::string PlanCache::Serialize() const {
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
     const Entry& entry = *it;
     const AnalysisResult& plan = *entry.plan;
-    // Placement sorted by classification id: the plan map is unordered,
-    // the snapshot must not be.
-    std::vector<std::pair<ClassificationId, MachineId>> placement(
-        plan.distribution.placement.begin(), plan.distribution.placement.end());
-    std::sort(placement.begin(), placement.end());
+    const FlatPlacement& placement = plan.distribution.placement;  // Ascending ids.
     std::string block;
     block += StrFormat("entry %llu %d %d %d\n",
                        static_cast<unsigned long long>(entry.key.profile_fingerprint),
@@ -177,14 +172,18 @@ Status PlanCache::ParseRecord(std::istream& in, Entry* entry) {
   plan.cut_value_units = static_cast<CapUnits>(units);
   plan.client_instances = static_cast<uint64_t>(client_instances);
   plan.server_instances = static_cast<uint64_t>(server_instances);
+  // Sorted once: a damaged block that passes its checksum still loads in
+  // O(n log n), and a repeated id keeps its last line.
+  std::vector<FlatPlacement::value_type> placed;
   for (size_t p = 0; p < placements; ++p) {
     ClassificationId classification = kNoClassification;
     MachineId machine = kClientMachine;
     if (!(in >> tag >> classification >> machine) || tag != "place") {
       return InvalidArgumentError("plan cache: bad place line");
     }
-    plan.distribution.placement[classification] = machine;
+    placed.emplace_back(classification, machine);
   }
+  plan.distribution.placement = FlatPlacement::FromEntries(std::move(placed));
   for (size_t e = 0; e < edges; ++e) {
     CutEdgeReport edge;
     std::string seconds_hex;

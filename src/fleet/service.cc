@@ -153,10 +153,14 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
         ->Set(static_cast<double>(options_.worker_threads));
   }
 
-  // Client id -> cohort index, for CohortIndexOf.
+  // Client id -> cohort index, for CohortIndexOf. Every client is a member
+  // of one cohort, so the member lists hold every id without a second
+  // pass over the (much wider) fleet records.
   uint32_t max_id = 0;
-  for (const FleetClient& client : fleet) {
-    max_id = std::max(max_id, client.id);
+  for (const CohortPlan& plan : result.plans) {
+    for (uint32_t member : plan.cohort.members) {
+      max_id = std::max(max_id, member);
+    }
   }
   result.client_cohort_.assign(static_cast<size_t>(max_id) + 1, -1);
   for (size_t i = 0; i < result.plans.size(); ++i) {

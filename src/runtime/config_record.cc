@@ -1,5 +1,8 @@
 #include "src/runtime/config_record.h"
 
+#include <utility>
+#include <vector>
+
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -77,6 +80,13 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(std::string_view text) {
     return InvalidArgumentError("missing configuration record magic");
   }
   ConfigurationRecord record;
+  // `place` lines are collected and sorted once at the end, so an
+  // untrusted record in any order parses in O(n log n).
+  std::vector<FlatPlacement::value_type> placed;
+  const auto finish = [&record, &placed]() {
+    record.distribution.placement = FlatPlacement::FromEntries(std::move(placed));
+    return std::move(record);
+  };
   while (fields.NextLine()) {
     const std::string_view line = fields.line();
     const std::string_view keyword = fields.Field();
@@ -107,7 +117,7 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(std::string_view text) {
       if (!fields.Number(&id) || !ReadMachine(fields, &machine) || !fields.LineDone()) {
         return Malformed(line);
       }
-      record.distribution.placement[id] = machine;
+      placed.emplace_back(id, machine);
     } else if (keyword == "desc") {
       Descriptor descriptor;
       Result<Guid> clsid = Guid::Parse(fields.Field());
@@ -143,12 +153,12 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(std::string_view text) {
         return InvalidArgumentError("truncated profile payload in config record");
       }
       record.profile_text.assign(payload.data(), length);
-      return record;
+      return finish();
     } else if (!keyword.empty()) {
       return InvalidArgumentError("unknown config keyword: " + std::string(keyword));
     }
   }
-  return record;
+  return finish();
 }
 
 }  // namespace coign

@@ -41,12 +41,13 @@ struct ConfigurationRecord {
   std::string profile_text;
 
   // The magic line, then `mode`, `classifier` and `default-machine`
-  // lines, one `place` line per placement entry in its iteration order,
+  // lines, one `place` line per placement entry in ascending id order,
   // one `desc` line per classifier-table entry, and a `profile <bytes>`
   // line followed by the raw profile text.
   std::string Serialize() const;
   // Copies the profile payload once; a malformed line fails the whole
-  // parse with InvalidArgumentError.
+  // parse with InvalidArgumentError. `place` lines may come in any order;
+  // where an id repeats, the last line wins.
   static Result<ConfigurationRecord> Parse(std::string_view text);
 };
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/runtime/binary_rewriter.h"
 #include "src/runtime/config_record.h"
 #include "src/runtime/static_analysis.h"
@@ -96,7 +99,11 @@ TEST(ConfigRecordTest, SerializedFormIsPinned) {
   record.classifier_kind = AllClassifierKinds()[2];
   record.classifier_depth = kCompleteStackWalk;
   record.distribution.default_machine = kServerMachine;
+  // Written out of order; the record lists them by ascending id.
   record.distribution.placement[4294967294u] = 2;
+  record.distribution.placement[31] = kServerMachine;
+  record.distribution.placement[0] = kClientMachine;
+  record.distribution.placement[7] = kServerMachine;
   Descriptor descriptor;
   descriptor.clsid = Guid{0xabcdef, 1};
   descriptor.tokens = {{18446744073709551615ull, 0, 7}, {1, 2, 3}};
@@ -105,17 +112,47 @@ TEST(ConfigRecordTest, SerializedFormIsPinned) {
   const std::string text = record.Serialize();
   EXPECT_EQ(text,
             "coign-config v1\nmode 1\nclassifier 2 -1\ndefault-machine 1\n"
-            "place 4294967294 2\n"
+            "place 0 0\nplace 7 1\nplace 31 1\nplace 4294967294 2\n"
             "desc {0000000000abcdef-0000000000000001} 2 18446744073709551615:0:7 1:2:3\n"
             "desc {0000000000000000-0000000000000000} 0\n"
             "profile 19\ncoign-profile v1\nx\n");
   const Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(text + "ignored tail");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Serialize(), text);
+  EXPECT_EQ(parsed->distribution.placement, record.distribution.placement);
   EXPECT_EQ(parsed->classifier_table, record.classifier_table);
   EXPECT_EQ(parsed->profile_text, record.profile_text);
   EXPECT_EQ(ConfigurationRecord::Parse(text.substr(0, text.size() - 1)).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// `place` lines in any order, ids repeated: the parse keeps the last line
+// for each id, the same map that applying the lines in file order gives.
+TEST(ConfigRecordTest, ParseAcceptsPlaceLinesInAnyOrder) {
+  std::string text = "coign-config v1\nmode 1\n";
+  Distribution expected;
+  const std::pair<ClassificationId, MachineId> lines[] = {
+      {40, 1}, {12, 0}, {40, 2}, {3, 1}, {12, 1}, {0, 0}, {3, 1}};
+  for (const auto& [id, machine] : lines) {
+    text += "place " + std::to_string(id) + " " + std::to_string(machine) + "\n";
+    expected.placement[id] = machine;
+  }
+  // A long reversed run as well, which a per-line sorted insert would
+  // make quadratic.
+  for (ClassificationId id = 5000; id > 100; --id) {
+    text += "place " + std::to_string(id) + " " + std::to_string(id % 3) + "\n";
+    expected.placement[id] = static_cast<MachineId>(id % 3);
+  }
+  const Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->distribution.placement, expected.placement);
+  EXPECT_EQ(parsed->distribution.placement.at(40), 2);
+  EXPECT_EQ(parsed->distribution.placement.at(12), 1);
+  EXPECT_EQ(parsed->distribution.size(), 4u + 4900u);
+  // Re-serialized, each id appears once, ascending.
+  const std::string again = parsed->Serialize();
+  EXPECT_NE(again.find("place 0 0\nplace 3 1\nplace 12 1\nplace 40 2\nplace 101 2\n"),
+            std::string::npos);
 }
 
 TEST(BinaryRewriterTest, InstrumentInsertsRuntimeFirstAndConfig) {

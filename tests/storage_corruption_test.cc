@@ -289,9 +289,8 @@ std::vector<std::string> SortedLines(const std::string& text) {
 
 // The text-codec oracle for one (possibly damaged) profile log: the parse
 // fails with InvalidArgumentError, or its re-serialization parses to a
-// profile with the same records. The records are what the log carries; it
-// leaves out zero-count buckets and compute times that are not positive
-// or belong to no classification, and call lines follow hash-map order.
+// profile with the same records and the same totals. Call lines follow
+// hash-map order, so records are compared as sorted lines.
 void CheckProfileCodec(const std::string& text, const std::string& context) {
   const Result<IccProfile> parsed = ParseProfile(text);
   if (!parsed.ok()) {
@@ -303,6 +302,8 @@ void CheckProfileCodec(const std::string& text, const std::string& context) {
   ASSERT_TRUE(again.ok()) << context << ": " << again.status().ToString();
   EXPECT_EQ(SortedLines(SerializeProfile(*again)), SortedLines(written)) << context;
   EXPECT_EQ(again->total_calls(), parsed->total_calls()) << context;
+  EXPECT_EQ(again->total_bytes(), parsed->total_bytes()) << context;
+  EXPECT_EQ(again->total_compute_seconds(), parsed->total_compute_seconds()) << context;
 }
 
 // The same oracle for a configuration record, which carries every field
