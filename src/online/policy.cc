@@ -41,11 +41,11 @@ Result<RepartitionDecision> RepartitionPolicy::Evaluate(
     active.insert(key.dst);
   }
   decision.proposed = analysis->distribution;
-  for (auto& [id, machine] : decision.proposed.placement) {
+  decision.proposed.placement.UpdateMachines([&](ClassificationId id, MachineId& machine) {
     if (active.find(id) == active.end()) {
       machine = current.MachineFor(id);
     }
-  }
+  });
   decision.current_seconds = PredictCommunicationSeconds(windowed, current, network);
   decision.proposed_seconds =
       PredictCommunicationSeconds(windowed, analysis->distribution, network);
